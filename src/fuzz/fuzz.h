@@ -9,7 +9,7 @@
 //      packages it as a replayable FuzzInput (registry values, OID payloads,
 //      packet bytes, entry arguments, interrupt timing, fault schedules).
 //   2. Concrete execution — mutants replay down the pure fast path (guided
-//      mode, block cache, tier-2 superblocks; the solver is never invoked),
+//      mode on the block-cached interpreter; the solver is never invoked),
 //      with every checker live, so a crashing mutant yields a full evidence
 //      file that replays like any campaign bug.
 //   3. Coverage-novelty corpus — an executed input is kept iff it covers a
