@@ -58,14 +58,17 @@
 //
 // Fleet flags (src/fleet; crash-isolated multi-process campaign):
 //   --workers=N        run the campaign across N worker *processes* (this
-//                      binary re-executed in --fleet-worker mode). A worker
-//                      killed mid-pass costs only its in-flight lease; the
-//                      deterministic report stays byte-identical to --workers=0
+//                      binary re-executed with its own arguments plus
+//                      --fleet-worker). A worker killed mid-pass costs only
+//                      its in-flight lease; the deterministic report stays
+//                      byte-identical to --workers=0
 //   --fleet-kill-lease=K  crash harness: SIGKILL the worker holding the Kth
 //                      lease, forcing salvage + reassignment (CI uses this to
 //                      prove the report survives worker death unchanged)
 //   --fleet-worker     internal: run as a fleet worker (spawned by the
-//                      coordinator, speaks the wire protocol on fds 3/4)
+//                      coordinator, speaks the wire protocol on fds 3/4;
+//                      coordinator-only flags such as --journal, --trace-out
+//                      and --fleet-kill-lease are ignored)
 //
 // Concolic fuzz loop flags (src/fuzz; see DESIGN.md §7h):
 //   --fuzz=0|1         after the campaign, run the hybrid concolic fuzz loop:
@@ -83,8 +86,9 @@
 //   --fuzz-corpus=PATH persist the corpus (CRC-sealed, torn-tail tolerant);
 //                      with --resume, completed batches load from it and only
 //                      missing batches execute
-//                      (--workers also shards fuzz execs across forked
-//                      processes; the report is identical at any count)
+//                      (fuzz execs run on the --threads pool; --workers
+//                      moves only the campaign onto worker processes, and the
+//                      report is identical either way)
 #include <unistd.h>
 
 #include <cstdio>
@@ -103,9 +107,7 @@
 
 namespace {
 
-// One config for the coordinator, the in-process path, and every exec-mode
-// worker: the schedule-determining knobs are compiled in, so the worker's
-// HELLO fingerprint matches the coordinator's by construction.
+// The campaign's fixed shape; the flags below only adjust it.
 ddt::FaultCampaignConfig MakeCampaignConfig() {
   ddt::FaultCampaignConfig config;
   config.base.engine.max_instructions = 2'000'000;
@@ -130,164 +132,124 @@ bool ParseUintFlag(const std::string& arg, const char* name, uint64_t* out) {
   return true;
 }
 
-int RunAsFleetWorker(int argc, char** argv) {
-  const ddt::CorpusDriver& driver = ddt::CorpusDriverByName("rtl8029");
+bool ParseStringFlag(const std::string& arg, const char* name, std::string* out) {
+  if (arg.rfind(name, 0) != 0) {
+    return false;
+  }
+  *out = arg.substr(std::strlen(name));
+  return true;
+}
+
+struct Flags {
   ddt::FaultCampaignConfig config = MakeCampaignConfig();
-  ddt::fleet::FleetWorkerOptions options;
-  uint64_t v = 0;
+  std::string report_out;
+  std::string trace_out;
+  std::string metrics_out;
+  uint32_t workers = 0;
+  int64_t kill_lease = -1;
+  bool fuzz = false;
+  ddt::fuzz::FuzzConfig fuzz_knobs;
+  // Set in a process the fleet coordinator spawned.
+  bool fleet_worker = false;
+  ddt::fleet::FleetWorkerOptions worker;
+};
+
+// The one parser for the coordinator, the in-process path, and every
+// exec-mode worker: a worker gets the coordinator's argv verbatim plus the
+// --fleet-* identity flags, so its HELLO fingerprint matches by construction.
+bool ParseFlags(int argc, char** argv, Flags* flags) {
+  ddt::FaultCampaignConfig& config = flags->config;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--fleet-worker") {
+    if (ParseStringFlag(arg, "--journal=", &config.journal_path) ||
+        ParseStringFlag(arg, "--report-out=", &flags->report_out) ||
+        ParseStringFlag(arg, "--trace-out=", &flags->trace_out) ||
+        ParseStringFlag(arg, "--metrics-out=", &flags->metrics_out) ||
+        ParseStringFlag(arg, "--shared-cache=", &config.shared_cache_path) ||
+        ParseStringFlag(arg, "--fuzz-corpus=", &flags->fuzz_knobs.corpus_path) ||
+        ParseStringFlag(arg, "--fleet-shard-dir=", &flags->worker.shard_dir)) {
       continue;
-    } else if (ParseUintFlag(arg, "--fleet-slot=", &v)) {
-      options.slot = static_cast<uint32_t>(v);
-    } else if (ParseUintFlag(arg, "--fleet-gen=", &v)) {
-      options.generation = v;
-    } else if (ParseUintFlag(arg, "--fleet-heartbeat-ms=", &v)) {
-      options.heartbeat_interval_ms = static_cast<uint32_t>(v);
-    } else if (arg.rfind("--fleet-shard-dir=", 0) == 0) {
-      options.shard_dir = arg.substr(std::strlen("--fleet-shard-dir="));
-    } else if (arg.rfind("--shared-cache=", 0) == 0) {
-      config.shared_cache_path = arg.substr(std::strlen("--shared-cache="));
+    }
+    std::string text;
+    uint64_t v = 0;
+    if (arg == "--resume") {
+      config.resume = true;
     } else if (ParseUintFlag(arg, "--hw-faults=", &v)) {
       config.hw_faults = v != 0;
     } else if (ParseUintFlag(arg, "--dma-checker=", &v)) {
       config.base.dma_checker = v != 0;
+    } else if (ParseUintFlag(arg, "--threads=", &v)) {
+      config.threads = static_cast<uint32_t>(v);
+    } else if (ParseUintFlag(arg, "--workers=", &v)) {
+      flags->workers = static_cast<uint32_t>(v);
+    } else if (ParseUintFlag(arg, "--fleet-kill-lease=", &v)) {
+      flags->kill_lease = static_cast<int64_t>(v);
+    } else if (ParseUintFlag(arg, "--fuzz=", &v)) {
+      flags->fuzz = v != 0;
+    } else if (ParseUintFlag(arg, "--fuzz-seed=", &v)) {
+      flags->fuzz_knobs.seed = v;
+    } else if (ParseUintFlag(arg, "--fuzz-batches=", &v)) {
+      flags->fuzz_knobs.batches = static_cast<uint32_t>(v);
+    } else if (ParseUintFlag(arg, "--fuzz-execs=", &v)) {
+      flags->fuzz_knobs.execs_per_batch = static_cast<uint32_t>(v);
     } else if (ParseUintFlag(arg, "--pathctl=", &v)) {
       config.base.engine.pathctl.enabled = v != 0;
-    } else if (arg.rfind("--kill-edge=", 0) == 0) {
+    } else if (ParseStringFlag(arg, "--kill-edge=", &text)) {
       ddt::EdgeKillRule rule;
-      if (!ddt::ParseEdgeKillRule(arg.substr(std::strlen("--kill-edge=")), &rule)) {
-        std::fprintf(stderr, "fleet worker: bad --kill-edge value: %s\n", arg.c_str());
-        return 2;
+      if (!ddt::ParseEdgeKillRule(text, &rule)) {
+        std::fprintf(stderr, "bad --kill-edge value (want FROM:TO): %s\n", arg.c_str());
+        return false;
       }
       config.base.engine.pathctl.kill_edges.push_back(rule);
-    } else if (arg.rfind("--searcher=", 0) == 0) {
-      if (!ddt::ParseSearchStrategy(arg.substr(std::strlen("--searcher=")),
-                                    &config.base.engine.strategy)) {
-        std::fprintf(stderr, "fleet worker: unknown --searcher value: %s\n", arg.c_str());
-        return 2;
+    } else if (ParseStringFlag(arg, "--searcher=", &text)) {
+      if (!ddt::ParseSearchStrategy(text, &config.base.engine.strategy)) {
+        std::fprintf(stderr,
+                     "unknown --searcher value: %s (want coverage-greedy, dfs, bfs, "
+                     "random, or coverage-starved)\n",
+                     text.c_str());
+        return false;
       }
+    } else if (arg == "--fleet-worker") {
+      flags->fleet_worker = true;
+    } else if (ParseUintFlag(arg, "--fleet-slot=", &v)) {
+      flags->worker.slot = static_cast<uint32_t>(v);
+    } else if (ParseUintFlag(arg, "--fleet-gen=", &v)) {
+      flags->worker.generation = v;
+    } else if (ParseUintFlag(arg, "--fleet-heartbeat-ms=", &v)) {
+      flags->worker.heartbeat_interval_ms = static_cast<uint32_t>(v);
     } else {
-      std::fprintf(stderr, "fleet worker: unknown flag: %s\n", arg.c_str());
-      return 2;
+      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      return false;
     }
   }
-  return ddt::fleet::RunFleetWorker(config, driver.image, driver.pci, options);
+  config.collect_metrics = !flags->metrics_out.empty();
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--fleet-worker") {
-      return RunAsFleetWorker(argc, argv);
-    }
-  }
-
-  std::string journal_path;
-  std::string report_out;
-  std::string trace_out;
-  std::string metrics_out;
-  std::string shared_cache_path;
-  bool resume = false;
-  bool hw_faults = false;
-  bool dma_checker = false;
-  uint32_t threads = 0;
-  uint32_t workers = 0;
-  int64_t kill_lease = -1;
-  bool fuzz = false;
-  bool pathctl = false;
-  std::vector<std::string> kill_edge_args;  // raw, re-forwarded to workers
-  std::vector<ddt::EdgeKillRule> kill_edges;
-  std::string searcher;
-  ddt::fuzz::FuzzConfig fuzz_knobs;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    uint64_t v = 0;
-    if (arg.rfind("--journal=", 0) == 0) {
-      journal_path = arg.substr(std::strlen("--journal="));
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg.rfind("--report-out=", 0) == 0) {
-      report_out = arg.substr(std::strlen("--report-out="));
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out = arg.substr(std::strlen("--trace-out="));
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = arg.substr(std::strlen("--metrics-out="));
-    } else if (arg.rfind("--shared-cache=", 0) == 0) {
-      shared_cache_path = arg.substr(std::strlen("--shared-cache="));
-    } else if (ParseUintFlag(arg, "--hw-faults=", &v)) {
-      hw_faults = v != 0;
-    } else if (ParseUintFlag(arg, "--dma-checker=", &v)) {
-      dma_checker = v != 0;
-    } else if (ParseUintFlag(arg, "--threads=", &v)) {
-      threads = static_cast<uint32_t>(v);
-    } else if (ParseUintFlag(arg, "--workers=", &v)) {
-      workers = static_cast<uint32_t>(v);
-    } else if (ParseUintFlag(arg, "--fleet-kill-lease=", &v)) {
-      kill_lease = static_cast<int64_t>(v);
-    } else if (ParseUintFlag(arg, "--fuzz=", &v)) {
-      fuzz = v != 0;
-    } else if (ParseUintFlag(arg, "--fuzz-seed=", &v)) {
-      fuzz_knobs.seed = v;
-    } else if (ParseUintFlag(arg, "--fuzz-batches=", &v)) {
-      fuzz_knobs.batches = static_cast<uint32_t>(v);
-    } else if (ParseUintFlag(arg, "--fuzz-execs=", &v)) {
-      fuzz_knobs.execs_per_batch = static_cast<uint32_t>(v);
-    } else if (arg.rfind("--fuzz-corpus=", 0) == 0) {
-      fuzz_knobs.corpus_path = arg.substr(std::strlen("--fuzz-corpus="));
-    } else if (ParseUintFlag(arg, "--pathctl=", &v)) {
-      pathctl = v != 0;
-    } else if (arg.rfind("--kill-edge=", 0) == 0) {
-      std::string spec = arg.substr(std::strlen("--kill-edge="));
-      ddt::EdgeKillRule rule;
-      if (!ddt::ParseEdgeKillRule(spec, &rule)) {
-        std::fprintf(stderr, "bad --kill-edge value (want FROM:TO): %s\n", arg.c_str());
-        return 2;
-      }
-      kill_edge_args.push_back(spec);
-      kill_edges.push_back(rule);
-    } else if (arg.rfind("--searcher=", 0) == 0) {
-      searcher = arg.substr(std::strlen("--searcher="));
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
-  }
-
-  const ddt::CorpusDriver& driver = ddt::CorpusDriverByName("rtl8029");
-
-  ddt::FaultCampaignConfig config = MakeCampaignConfig();
-  config.threads = threads;
-  config.journal_path = journal_path;
-  config.resume = resume;
-  config.shared_cache_path = shared_cache_path;
-  config.hw_faults = hw_faults;
-  config.base.dma_checker = dma_checker;
-  config.base.engine.pathctl.enabled = pathctl;
-  config.base.engine.pathctl.kill_edges = kill_edges;
-  if (!searcher.empty() &&
-      !ddt::ParseSearchStrategy(searcher, &config.base.engine.strategy)) {
-    std::fprintf(stderr,
-                 "unknown --searcher value: %s (want coverage-greedy, dfs, bfs, "
-                 "random, or coverage-starved)\n",
-                 searcher.c_str());
+  Flags flags;
+  if (!ParseFlags(argc, argv, &flags)) {
     return 2;
   }
-  config.collect_metrics = !metrics_out.empty();
+  const ddt::FaultCampaignConfig& config = flags.config;
+  const ddt::CorpusDriver& driver = ddt::CorpusDriverByName("rtl8029");
+  if (flags.fleet_worker) {
+    return ddt::fleet::RunFleetWorker(config, driver.image, driver.pci, flags.worker);
+  }
 
-  if (!trace_out.empty()) {
+  if (!flags.trace_out.empty()) {
     ddt::obs::Tracer::Get().Enable();
   }
 
   auto run_campaign_fn = [&]() {
-    if (workers == 0) {
+    if (flags.workers == 0) {
       return ddt::RunFaultCampaign(config, driver.image, driver.pci);
     }
     ddt::fleet::FleetCampaignConfig fleet;
-    fleet.workers = workers;
-    fleet.kill_lease_number = kill_lease;
+    fleet.workers = flags.workers;
+    fleet.kill_lease_number = flags.kill_lease;
     char shard_template[] = "/tmp/ddt_fleet.XXXXXX";
     char* shard_dir = ::mkdtemp(shard_template);
     if (shard_dir == nullptr) {
@@ -295,32 +257,11 @@ int main(int argc, char** argv) {
           ddt::Status::Error("cannot create fleet shard directory"));
     }
     fleet.shard_dir = shard_dir;
-    // Re-execute this binary as the worker. /proc/self/exe survives PATH
-    // lookups and cwd changes; argv[0] is the portable fallback.
+    // Re-execute this binary as the worker, with this process's own flags.
+    // /proc/self/exe survives PATH lookups and cwd changes; argv[0] is the
+    // portable fallback.
     fleet.worker_exec = ::access("/proc/self/exe", X_OK) == 0 ? "/proc/self/exe" : argv[0];
-    if (!shared_cache_path.empty()) {
-      fleet.worker_args.push_back("--shared-cache=" + shared_cache_path);
-    }
-    // Exec-mode workers rebuild the campaign config from MakeCampaignConfig(),
-    // so knobs must cross the process boundary explicitly. These two enter
-    // the campaign fingerprint; a worker missing them would be rejected at
-    // HELLO.
-    if (hw_faults) {
-      fleet.worker_args.push_back("--hw-faults=1");
-    }
-    if (dma_checker) {
-      fleet.worker_args.push_back("--dma-checker=1");
-    }
-    // Pathctl knobs and the search policy enter the fingerprint as well.
-    if (pathctl) {
-      fleet.worker_args.push_back("--pathctl=1");
-    }
-    for (const std::string& spec : kill_edge_args) {
-      fleet.worker_args.push_back("--kill-edge=" + spec);
-    }
-    if (!searcher.empty()) {
-      fleet.worker_args.push_back("--searcher=" + searcher);
-    }
+    fleet.worker_args.assign(argv + 1, argv + argc);
     return ddt::fleet::RunFleetCampaign(config, driver.image, driver.pci, fleet);
   };
 
@@ -329,13 +270,11 @@ int main(int argc, char** argv) {
   // it this is the pre-fuzz binary, byte for byte.
   ddt::FaultCampaignResult campaign_result;
   ddt::fuzz::FuzzCampaignResult fuzz_result;
-  bool fuzz_ran = false;
-  if (fuzz) {
+  if (flags.fuzz) {
     ddt::fuzz::FuzzCampaignConfig fuzz_config;
     fuzz_config.campaign = config;
-    fuzz_config.fuzz = fuzz_knobs;
-    fuzz_config.fuzz.resume = resume;
-    fuzz_config.fuzz.workers = workers;
+    fuzz_config.fuzz = flags.fuzz_knobs;
+    fuzz_config.fuzz.resume = config.resume;
     fuzz_config.run_campaign = run_campaign_fn;
     ddt::Result<ddt::fuzz::FuzzCampaignResult> fuzzed =
         ddt::fuzz::RunFuzzCampaign(fuzz_config, driver.image, driver.pci);
@@ -344,7 +283,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     fuzz_result = fuzzed.take();
-    fuzz_ran = true;
   } else {
     ddt::Result<ddt::FaultCampaignResult> campaign = run_campaign_fn();
     if (!campaign.ok()) {
@@ -353,8 +291,8 @@ int main(int argc, char** argv) {
     }
     campaign_result = campaign.take();
   }
-  const ddt::FaultCampaignResult& result = fuzz_ran ? fuzz_result.campaign : campaign_result;
-  std::string report_full = fuzz_ran ? fuzz_result.FormatReport(driver.name)
+  const ddt::FaultCampaignResult& result = flags.fuzz ? fuzz_result.campaign : campaign_result;
+  std::string report_full = flags.fuzz ? fuzz_result.FormatReport(driver.name)
                                      : result.FormatReport(driver.name);
   std::printf("%s\n", report_full.c_str());
 
@@ -362,21 +300,21 @@ int main(int argc, char** argv) {
     std::printf("%s", result.profile.FormatTopPasses(5).c_str());
   }
 
-  if (!trace_out.empty()) {
+  if (!flags.trace_out.empty()) {
     ddt::obs::Tracer::Get().Disable();
     std::string error;
-    if (!ddt::obs::Tracer::Get().ExportChromeJson(trace_out, &error)) {
+    if (!ddt::obs::Tracer::Get().ExportChromeJson(flags.trace_out, &error)) {
       std::fprintf(stderr, "trace export failed: %s\n", error.c_str());
       return 1;
     }
     std::printf("trace: %zu events written to %s (dropped %llu)\n",
-                ddt::obs::Tracer::Get().Collect().size(), trace_out.c_str(),
+                ddt::obs::Tracer::Get().Collect().size(), flags.trace_out.c_str(),
                 static_cast<unsigned long long>(ddt::obs::Tracer::Get().DroppedEvents()));
   }
-  if (!metrics_out.empty()) {
-    std::FILE* out = std::fopen(metrics_out.c_str(), "wb");
+  if (!flags.metrics_out.empty()) {
+    std::FILE* out = std::fopen(flags.metrics_out.c_str(), "wb");
     if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
+      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
       return 1;
     }
     std::string json = result.metrics.ToJson();
@@ -385,14 +323,14 @@ int main(int argc, char** argv) {
     std::fclose(out);
   }
 
-  if (!report_out.empty()) {
-    std::FILE* out = std::fopen(report_out.c_str(), "wb");
+  if (!flags.report_out.empty()) {
+    std::FILE* out = std::fopen(flags.report_out.c_str(), "wb");
     if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", report_out.c_str());
+      std::fprintf(stderr, "cannot write %s\n", flags.report_out.c_str());
       return 1;
     }
     std::string deterministic =
-        fuzz_ran ? fuzz_result.FormatReport(driver.name, /*include_volatile=*/false)
+        flags.fuzz ? fuzz_result.FormatReport(driver.name, /*include_volatile=*/false)
                  : result.FormatReport(driver.name, /*include_volatile=*/false);
     std::fwrite(deterministic.data(), 1, deterministic.size(), out);
     std::fclose(out);
@@ -406,7 +344,7 @@ int main(int argc, char** argv) {
   const char* evidence_path = "/tmp/ddt_fault_campaign.report";
   std::vector<ddt::Bug> evidence_bugs = result.bugs;
   size_t campaign_bug_count = evidence_bugs.size();
-  if (fuzz_ran) {
+  if (flags.fuzz) {
     evidence_bugs.insert(evidence_bugs.end(), fuzz_result.fuzz_bugs.begin(),
                          fuzz_result.fuzz_bugs.end());
   }

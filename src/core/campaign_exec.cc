@@ -1,21 +1,19 @@
 #include "src/core/campaign_exec.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "src/obs/trace_events.h"
 #include "src/support/check.h"
+#include "src/support/log.h"
 #include "src/support/strings.h"
 
 namespace ddt {
 
-namespace {
-
 std::string BugKey(const Bug& bug) {
   return StrFormat("%d|%s", static_cast<int>(bug.type), bug.title.c_str());
 }
-
-}  // namespace
 
 uint64_t CampaignFingerprint(const FaultCampaignConfig& config, const DriverImage& image) {
   uint64_t h = 0xCBF29CE484222325ull;
@@ -61,6 +59,10 @@ uint64_t CampaignFingerprint(const FaultCampaignConfig& config, const DriverImag
   return h;
 }
 
+namespace {
+
+// Rejects configurations that would otherwise fail late (or hang) with a
+// clear message before any pass runs.
 Status ValidateCampaignConfig(const FaultCampaignConfig& config) {
   if (config.max_passes == 0) {
     return Status::Error("FaultCampaignConfig.max_passes must be nonzero");
@@ -82,6 +84,21 @@ Status ValidateCampaignConfig(const FaultCampaignConfig& config) {
         "plan could ever be generated)");
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+std::shared_ptr<SharedQueryCache> OpenCampaignCache(const FaultCampaignConfig& config) {
+  if (!config.shared_cache && config.shared_cache_path.empty()) {
+    return nullptr;
+  }
+  SharedCacheConfig cache_config;
+  cache_config.max_bytes = config.shared_cache_max_bytes;
+  auto cache = std::make_shared<SharedQueryCache>(cache_config);
+  if (!config.shared_cache_path.empty()) {
+    cache->LoadFromFile(config.shared_cache_path);
+  }
+  return cache;
 }
 
 // ---------------------------------------------------------------------------
@@ -276,9 +293,7 @@ PassOutcome CampaignPassExecutor::Execute(const FaultPlan& plan) {
 // Record conversion
 // ---------------------------------------------------------------------------
 
-CampaignPassRecord MakePassRecord(uint64_t index, const FaultPlan& plan, const PassOutcome& out,
-                                  const FaultSiteProfile* profile,
-                                  const HwSiteProfile* hw_profile) {
+CampaignPassRecord MakePassRecord(uint64_t index, const FaultPlan& plan, const PassOutcome& out) {
   CampaignPassRecord rec;
   rec.index = index;
   rec.label = plan.label;
@@ -292,12 +307,10 @@ CampaignPassRecord MakePassRecord(uint64_t index, const FaultPlan& plan, const P
     rec.solver_stats = out.r->solver_stats;
     rec.bugs = out.r->bugs;
   }
-  if (profile != nullptr) {
+  if (index == 0 && !out.quarantined && out.ddt != nullptr) {
     rec.has_profile = true;
-    rec.profile = *profile;
-  }
-  if (hw_profile != nullptr) {
-    rec.hw_profile = *hw_profile;
+    rec.profile = out.ddt->engine().fault_site_profile();
+    rec.hw_profile = out.ddt->engine().hw_site_profile();
   }
   return rec;
 }
@@ -313,11 +326,16 @@ PassOutcome OutcomeFromRecord(CampaignPassRecord&& rec, bool restored_from_journ
 }
 
 // ---------------------------------------------------------------------------
-// CampaignMerger
+// Plan-order merge
 // ---------------------------------------------------------------------------
 
-void CampaignMerger::Merge(const FaultPlan& plan, PassOutcome& out) {
-  FaultCampaignResult& result = *result_;
+namespace {
+
+// Folds one pass into `result`; `seen` holds the BugKeys of earlier passes.
+// Not thread-safe: merging always happens on one thread, in plan order.
+void MergePass(const FaultPlan& plan, PassOutcome& out, std::set<std::string>* seen,
+               FaultCampaignResult* result_ptr) {
+  FaultCampaignResult& result = *result_ptr;
   {
     // Merge time is attributed to the pass being merged; the profile is
     // snapshotted for the report only after this scope closes.
@@ -351,7 +369,7 @@ void CampaignMerger::Merge(const FaultPlan& plan, PassOutcome& out) {
       pass.solver_stats = solver_stats;
       pass.bugs_found = bugs.size();
       for (const Bug& bug : bugs) {
-        if (seen_.insert(BugKey(bug)).second) {
+        if (seen->insert(BugKey(bug)).second) {
           ++pass.bugs_new;
           result.bugs.push_back(bug);
         }
@@ -404,6 +422,208 @@ void CampaignMerger::Merge(const FaultPlan& plan, PassOutcome& out) {
     // sourced passes carry deserialized bugs, which own their storage.)
     result.keepalive.push_back(std::move(out.ddt));
   }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// CampaignSchedule
+// ---------------------------------------------------------------------------
+
+CampaignSchedule::CampaignSchedule(const FaultCampaignConfig& config, const DriverImage& image)
+    : config_(config), image_(image), start_(std::chrono::steady_clock::now()) {}
+
+Status CampaignSchedule::Open() {
+  Status valid = ValidateCampaignConfig(config_);
+  if (!valid.ok()) {
+    return valid;
+  }
+  fingerprint_ = CampaignFingerprint(config_, image_);
+  if (config_.collect_metrics) {
+    metrics_ = std::make_shared<obs::MetricsRegistry>();
+  }
+  if (config_.resume) {
+    std::vector<CampaignPassRecord> records;
+    Result<std::unique_ptr<CampaignJournal>> opened = CampaignJournal::OpenForResume(
+        config_.journal_path, image_.name, fingerprint_, &records);
+    if (!opened.ok()) {
+      return opened.status();
+    }
+    journal_ = opened.take();
+    for (CampaignPassRecord& rec : records) {
+      restored_.insert_or_assign(rec.index, std::move(rec));  // last record wins
+    }
+  } else if (!config_.journal_path.empty()) {
+    Result<std::unique_ptr<CampaignJournal>> created =
+        CampaignJournal::Create(config_.journal_path, image_.name, fingerprint_);
+    if (!created.ok()) {
+      return created.status();
+    }
+    journal_ = created.take();
+  }
+  if (journal_ != nullptr && metrics_ != nullptr) {
+    journal_->SetMetrics(metrics_.get());
+  }
+  // The journal stores the baseline's profiles so a resume reproduces the
+  // exact schedule without re-running pass 0. A quarantined or profile-less
+  // baseline record restores nothing: the baseline runs again.
+  auto base = restored_.find(0);
+  if (base == restored_.end()) {
+    return Status::Ok();
+  }
+  CampaignPassRecord rec = std::move(base->second);
+  restored_.erase(base);
+  if (!rec.has_profile || rec.quarantined) {
+    return Status::Ok();
+  }
+  FaultSiteProfile profile = rec.profile;
+  HwSiteProfile hw_profile = rec.hw_profile;
+  done_.emplace(0, OutcomeFromRecord(std::move(rec), /*restored_from_journal=*/true));
+  return GeneratePlans(profile, hw_profile);
+}
+
+Status CampaignSchedule::GeneratePlans(const FaultSiteProfile& profile,
+                                       const HwSiteProfile& hw_profile) {
+  size_t plan_budget = config_.max_passes - 1;
+  std::vector<FaultPlan> plans =
+      GenerateCampaignPlans(profile, config_.seed, config_.max_occurrences_per_class,
+                            config_.escalation_rounds, plan_budget);
+  // Hardware fault plans ride the same budget, after the kernel-API plans:
+  // the error paths §3.4 targets first are the common case, device-level
+  // hostility extends the campaign rather than displacing it.
+  if (config_.hw_faults && plans.size() < plan_budget) {
+    std::vector<FaultPlan> hw_plans = GenerateHwCampaignPlans(
+        hw_profile, config_.hw_max_points_per_kind, plan_budget - plans.size());
+    plans.insert(plans.end(), hw_plans.begin(), hw_plans.end());
+  }
+  plans_.insert(plans_.end(), plans.begin(), plans.end());
+  planned_ = true;
+  // Journaled plan passes restore only if they match the regenerated plan;
+  // records beyond the schedule are ignored.
+  for (auto& [index, rec] : restored_) {
+    if (index >= plans_.size()) {
+      continue;
+    }
+    if (rec.label != plans_[index].label) {
+      return Status::Error(StrFormat(
+          "journal '%s' does not match the campaign schedule: pass %llu is '%s' in the "
+          "journal but '%s' in the regenerated plan",
+          config_.journal_path.c_str(), static_cast<unsigned long long>(index),
+          rec.label.c_str(), plans_[index].label.c_str()));
+    }
+    done_.emplace(index, OutcomeFromRecord(std::move(rec), /*restored_from_journal=*/true));
+  }
+  restored_.clear();
+  return Status::Ok();
+}
+
+bool CampaignSchedule::IsComplete(uint64_t index) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  return done_.count(index) != 0;
+}
+
+std::vector<uint64_t> CampaignSchedule::Pending() const {
+  std::unique_lock<std::mutex> lock(mu_);
+  std::vector<uint64_t> pending;
+  for (uint64_t i = 0; i < plans_.size(); ++i) {
+    if (done_.count(i) == 0) {
+      pending.push_back(i);
+    }
+  }
+  return pending;
+}
+
+Status CampaignSchedule::Complete(uint64_t index, PassOutcome out) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (index >= plans_.size() || done_.count(index) != 0) {
+    return Status::Ok();  // stray or duplicate (wire + salvage may both report a pass)
+  }
+  if (index == 0) {
+    if (out.quarantined) {
+      return Status::Error("campaign baseline pass failed: " + out.failure);
+    }
+    if (out.record.has_value() && !out.record->has_profile) {
+      return Status::Error("campaign baseline record carries no fault-site profile");
+    }
+  }
+  if (journal_ != nullptr) {
+    obs::ScopedPhase journal_phase(out.profile.get(), obs::Phase::kJournal);
+    Status appended = out.record.has_value()
+                          ? journal_->Append(*out.record)
+                          : journal_->Append(MakePassRecord(index, plans_[index], out));
+    if (!appended.ok()) {
+      return appended;
+    }
+  }
+  if (index != 0) {
+    done_.emplace(index, std::move(out));
+    return Status::Ok();
+  }
+  FaultSiteProfile profile;
+  HwSiteProfile hw_profile;
+  if (out.record.has_value()) {
+    profile = out.record->profile;
+    hw_profile = out.record->hw_profile;
+  } else {
+    profile = out.ddt->engine().fault_site_profile();
+    hw_profile = out.ddt->engine().hw_site_profile();
+  }
+  done_.emplace(0, std::move(out));
+  return GeneratePlans(profile, hw_profile);
+}
+
+Status CampaignSchedule::Finish(std::shared_ptr<SharedQueryCache> cache,
+                                FaultCampaignResult* result) {
+  // Plan order: byte-identical no matter which passes were restored, which
+  // were executed, by which transport, or how workers interleaved.
+  std::set<std::string> seen;
+  for (uint64_t i = 0; i < plans_.size(); ++i) {
+    auto it = done_.find(i);
+    if (it == done_.end()) {
+      return Status::Error(StrFormat("campaign internal error: pass %llu completed nowhere",
+                                     static_cast<unsigned long long>(i)));
+    }
+    MergePass(plans_[i], it->second, &seen, result);
+  }
+  done_.clear();
+  result->searcher_name = SearchStrategyName(config_.base.engine.strategy);
+  result->shared_cache_used = config_.shared_cache || !config_.shared_cache_path.empty();
+  if (cache != nullptr) {
+    if (!config_.shared_cache_path.empty()) {
+      Status saved = cache->SaveToFile(config_.shared_cache_path);
+      if (!saved.ok()) {
+        // Persistence is an accelerator, not a result: failing to write the
+        // warm-start file must never fail the campaign.
+        DDT_LOG_WARN("%s", saved.message().c_str());
+      }
+    }
+    SharedQueryCache::Stats stats = cache->stats();
+    result->shared_cache_entries = stats.entries;
+    result->shared_cache_bytes = stats.bytes;
+    result->shared_cache_evictions = stats.evictions;
+    result->shared_cache_load_errors = stats.load_errors;
+    result->shared_cache_loaded_entries = stats.loaded_entries;
+    result->shared_cache_saved_entries = stats.saved_entries;
+    if (metrics_ != nullptr) {
+      // Store-level instruments; the per-query hit/miss/store/verify
+      // counters are published per pass by the engine from SolverStats.
+      metrics_->counter("solver.shared_cache.evictions")->Add(stats.evictions);
+      metrics_->counter("solver.shared_cache.load_errors")->Add(stats.load_errors);
+      metrics_->counter("solver.shared_cache.loaded_entries")->Add(stats.loaded_entries);
+      metrics_->counter("solver.shared_cache.saved_entries")->Add(stats.saved_entries);
+      metrics_->gauge("solver.shared_cache.entries")->Set(static_cast<int64_t>(stats.entries));
+      metrics_->gauge("solver.shared_cache.bytes")->Set(static_cast<int64_t>(stats.bytes));
+    }
+    // Kept-alive Ddt instances hold solvers whose configs point at the cache.
+    result->obs_keepalive.push_back(std::move(cache));
+  }
+  if (metrics_ != nullptr) {
+    result->metrics.Merge(metrics_->Snapshot());
+  }
+  result->campaign_wall_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start_)
+          .count();
+  return Status::Ok();
 }
 
 }  // namespace ddt

@@ -1,15 +1,17 @@
 // Shared campaign execution substrate.
 //
-// RunFaultCampaign (the in-process thread-pool scheduler in ddt.cc) and the
-// multi-process fleet (src/fleet: a coordinator leasing passes to crash-
-// isolated worker processes) run the *same* campaign: the same supervised
-// per-pass execution (watchdog cancellation, retry-with-escalation,
-// quarantine-on-trap) and the same plan-order merge that makes the
-// deterministic report byte-identical regardless of scheduling. This header
-// is that common substrate, extracted from ddt.cc so a fleet worker executes
-// a pass exactly — to the byte of the resulting journal record — as an
-// in-process worker thread would, and the fleet coordinator merges records
-// exactly as the in-process scheduler merges live outcomes.
+// The §3.4 fault-injection campaign is one schedule — a baseline pass, then
+// one pass per fault plan derived from the baseline's profile — run over one
+// of two transports: RunFaultCampaign's in-process thread pool (ddt.cc) or
+// the multi-process fleet (src/fleet: a coordinator leasing passes to
+// crash-isolated worker processes). This header is everything the two
+// share: CampaignSchedule decides which passes exist, which are done, and how
+// they merge; CampaignPassExecutor runs one pass under supervision (watchdog
+// cancellation, retry-with-escalation, quarantine-on-trap), so a fleet worker
+// executes a pass exactly — to the byte of the resulting journal record — as
+// an in-process worker thread would. A transport only decides *where* a
+// pending pass runs, so the deterministic report is byte-identical across
+// them.
 //
 // Layering: everything here is core-internal machinery. Library users call
 // RunFaultCampaign / fleet::RunFleetCampaign; nothing in this header is
@@ -24,7 +26,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,9 +47,15 @@ namespace ddt {
 // pass's identity.
 uint64_t CampaignFingerprint(const FaultCampaignConfig& config, const DriverImage& image);
 
-// Mirrors the PR-1 EngineConfig validation: reject configurations that would
-// otherwise fail late (or hang) with a clear message before any pass runs.
-Status ValidateCampaignConfig(const FaultCampaignConfig& config);
+// Bug identity across passes: a bug is "new" iff no earlier pass (or, in the
+// fuzz plane, no campaign pass and no earlier exec) reported the same key.
+std::string BugKey(const Bug& bug);
+
+// The campaign's shared solver cache, or null when config turns it off. With
+// a shared_cache_path it warm-starts from that file (best-effort: a bad file
+// only bumps a counter). The in-process scheduler shares one across every
+// pass; each fleet worker warm-starts a private one.
+std::shared_ptr<SharedQueryCache> OpenCampaignCache(const FaultCampaignConfig& config);
 
 // Supervisor watchdog: one lazily-started thread tracking the deadline of
 // every in-flight pass. When a deadline passes while the pass is still armed,
@@ -134,33 +141,81 @@ class CampaignPassExecutor {
 };
 
 // Builds the checkpoint-journal record for a completed (or quarantined)
-// pass. `profile` and `hw_profile` are non-null only for the baseline
-// (pass 0), whose fault-site and hardware-site profiles the whole schedule
-// derives from.
-CampaignPassRecord MakePassRecord(uint64_t index, const FaultPlan& plan, const PassOutcome& out,
-                                  const FaultSiteProfile* profile,
-                                  const HwSiteProfile* hw_profile = nullptr);
+// live pass. A completed baseline (index 0) also carries its engine's
+// fault-site and hardware-site profiles, which the whole schedule derives
+// from.
+CampaignPassRecord MakePassRecord(uint64_t index, const FaultPlan& plan, const PassOutcome& out);
 
 // Wraps a serialized record back into a mergeable outcome.
 // `restored_from_journal` distinguishes a resume restore (counted in
 // passes_loaded) from a fleet record executed this run (not counted).
 PassOutcome OutcomeFromRecord(CampaignPassRecord&& rec, bool restored_from_journal);
 
-// Merges pass outcomes into a FaultCampaignResult in plan order. Bug
-// deduplication, aggregate accumulation, and the pass table are functions of
-// merge *order* alone, so any scheduler — sequential, thread pool, or
-// multi-process fleet — that merges in plan order produces a byte-identical
-// deterministic report. Not thread-safe; merging always happens on one
-// thread.
-class CampaignMerger {
+// The campaign schedule, shared by both transports. Pass indices are plan
+// order: 0 is the baseline, whose fault-site and hardware-site profiles
+// generate passes 1..N (kernel-API plans, then hw plans within the
+// max_passes budget). The schedule owns the checkpoint journal: Open creates
+// it or, with config.resume, restores its completed passes; Complete
+// journals each pass as it finishes, from whichever thread or record source
+// finished it, so a kill loses only the passes in flight. Finish merges
+// every pass in plan order on the calling thread: bug deduplication,
+// aggregate accumulation, and the pass table are functions of merge order
+// alone, so any transport produces a byte-identical deterministic report.
+class CampaignSchedule {
  public:
-  explicit CampaignMerger(FaultCampaignResult* result) : result_(result) {}
+  // `config` and `image` must outlive the schedule.
+  CampaignSchedule(const FaultCampaignConfig& config, const DriverImage& image);
+  CampaignSchedule(const CampaignSchedule&) = delete;
+  CampaignSchedule& operator=(const CampaignSchedule&) = delete;
 
-  void Merge(const FaultPlan& plan, PassOutcome& out);
+  // Validates the config and opens the journal. A restored baseline (with
+  // its profiles) makes the whole schedule known at once, and restored plan
+  // passes are checked against it.
+  Status Open();
+
+  // CampaignFingerprint(config, image).
+  uint64_t fingerprint() const { return fingerprint_; }
+  // Campaign-level metrics registry (thread pool, journal, supervisor and
+  // fleet instruments); null unless config.collect_metrics. Its snapshot is
+  // merged into the result by Finish.
+  obs::MetricsRegistry* metrics() const { return metrics_.get(); }
+
+  // True once the baseline completed and the plan passes exist.
+  bool planned() const { return planned_; }
+  // The plan for pass `index` (empty for the baseline).
+  const FaultPlan& plan(uint64_t index) const { return plans_[index]; }
+  bool IsComplete(uint64_t index) const;
+  // Passes still to run, in plan order: just {0} until the baseline is done.
+  std::vector<uint64_t> Pending() const;
+
+  // Records pass `index`'s outcome — a live execution, or a record from a
+  // fleet worker — and journals it. The first completion of an index wins;
+  // later ones, and indices outside the schedule, are dropped. A quarantined
+  // baseline fails the campaign (and is not journaled, so a rerun retries
+  // it). Completing the baseline generates the plan passes. Thread-safe.
+  Status Complete(uint64_t index, PassOutcome out);
+
+  // Merges every pass into *result in plan order, then publishes `cache`'s
+  // store-level stats (saving it to config.shared_cache_path first) and the
+  // campaign metrics. `cache` is the store holding the campaign's final
+  // entries, or null when there is none to report.
+  Status Finish(std::shared_ptr<SharedQueryCache> cache, FaultCampaignResult* result);
 
  private:
-  FaultCampaignResult* result_;
-  std::set<std::string> seen_;
+  Status GeneratePlans(const FaultSiteProfile& profile, const HwSiteProfile& hw_profile);
+
+  const FaultCampaignConfig& config_;
+  const DriverImage& image_;
+  std::chrono::steady_clock::time_point start_;
+  uint64_t fingerprint_ = 0;
+  std::shared_ptr<obs::MetricsRegistry> metrics_;
+  std::unique_ptr<CampaignJournal> journal_;
+  std::vector<FaultPlan> plans_{FaultPlan{}};  // index 0 = baseline
+  bool planned_ = false;
+  // Journaled plan passes awaiting the schedule they are checked against.
+  std::map<uint64_t, CampaignPassRecord> restored_;
+  mutable std::mutex mu_;                // guards done_
+  std::map<uint64_t, PassOutcome> done_;  // pass index -> outcome
 };
 
 }  // namespace ddt

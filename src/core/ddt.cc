@@ -1,21 +1,13 @@
 #include "src/core/ddt.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
-#include <set>
-#include <thread>
 
 #include "src/checkers/default_checkers.h"
 #include "src/checkers/dma_checker.h"
 #include "src/core/campaign_exec.h"
-#include "src/core/campaign_journal.h"
-#include "src/obs/trace_events.h"
 #include "src/solver/shared_cache.h"
 #include "src/support/check.h"
-#include "src/support/log.h"
 #include "src/support/strings.h"
 #include "src/support/thread_pool.h"
 
@@ -185,148 +177,34 @@ std::string DdtResult::FormatReport(const std::string& driver_name) const {
 Result<FaultCampaignResult> RunFaultCampaign(const FaultCampaignConfig& config,
                                              const DriverImage& image,
                                              const PciDescriptor& descriptor) {
-  auto campaign_start = std::chrono::steady_clock::now();
-  Status valid = ValidateCampaignConfig(config);
-  if (!valid.ok()) {
-    return valid;
+  // The schedule (campaign_exec.h) decides which passes exist, journals each
+  // as it completes, and merges them in plan order; this function is only the
+  // thread-pool transport. CampaignPassExecutor::Execute touches only its own
+  // engine+solver instance (safe concurrently) and the merge runs on the
+  // calling thread, so the merged bug list, dedup decisions, and pass table
+  // are byte-identical to a sequential run no matter in which order workers
+  // finish. The fleet (src/fleet) drives the same schedule over processes.
+  CampaignSchedule schedule(config, image);
+  Status opened = schedule.Open();
+  if (!opened.ok()) {
+    return opened;
+  }
+  // One cross-pass solver cache for every pass (and every worker thread).
+  std::shared_ptr<SharedQueryCache> shared_cache = OpenCampaignCache(config);
+  CampaignPassExecutor executor(config, image, descriptor, shared_cache.get(),
+                                schedule.metrics());
+
+  // Pass 0: the plain baseline, whose fault-site profile every later plan is
+  // generated from. Skipped when the journal restored it.
+  if (!schedule.planned()) {
+    Status done = schedule.Complete(0, executor.Execute(FaultPlan{}));
+    if (!done.ok()) {
+      return done;
+    }
   }
 
   FaultCampaignResult result;
-
-  // Execution and merging are split so plan passes can run on a worker pool:
-  // CampaignPassExecutor::Execute touches only its own engine+solver instance
-  // (safe concurrently), CampaignMerger::Merge mutates the shared result and
-  // always runs on the calling thread in plan order — so the merged bug list,
-  // dedup decisions, and pass table are byte-identical to a sequential run no
-  // matter in which order workers finish. The journal is the one shared
-  // resource workers touch (appends in completion order, under its mutex);
-  // records carry the pass index, so load order never matters. The same
-  // executor/merger pair drives the multi-process fleet (src/fleet), which is
-  // why they live in campaign_exec.h rather than here.
-  CampaignMerger merger(&result);
-
-  // Campaign-level registry for the instruments that outlive any single pass
-  // (thread-pool queue depth and busy time, journal flush latency, supervisor
-  // event counts). Merged into result.metrics at the end.
-  std::shared_ptr<obs::MetricsRegistry> campaign_metrics;
-  if (config.collect_metrics) {
-    campaign_metrics = std::make_shared<obs::MetricsRegistry>();
-  }
-
-  // Cross-pass shared solver cache: one store for every pass (and every
-  // worker thread) of this campaign. With a path configured it warm-starts
-  // from disk — best-effort, a bad file only bumps a counter — and is saved
-  // back after the merge.
-  std::shared_ptr<SharedQueryCache> shared_cache;
-  if (config.shared_cache || !config.shared_cache_path.empty()) {
-    SharedCacheConfig cache_config;
-    cache_config.max_bytes = config.shared_cache_max_bytes;
-    shared_cache = std::make_shared<SharedQueryCache>(cache_config);
-    if (!config.shared_cache_path.empty()) {
-      shared_cache->LoadFromFile(config.shared_cache_path);
-    }
-  }
-
-  // One pass under full supervision (watchdog, retry-with-escalation,
-  // quarantine): see CampaignPassExecutor in campaign_exec.h.
-  CampaignPassExecutor executor(config, image, descriptor, shared_cache.get(),
-                                campaign_metrics.get());
-
-  // Journal setup. Resume loads the completed passes; a fresh journal starts
-  // with just the header.
-  uint64_t fingerprint = CampaignFingerprint(config, image);
-  std::unique_ptr<CampaignJournal> journal;
-  std::map<uint64_t, CampaignPassRecord> journaled;  // pass index -> record
-  if (config.resume) {
-    std::vector<CampaignPassRecord> records;
-    Result<std::unique_ptr<CampaignJournal>> opened =
-        CampaignJournal::OpenForResume(config.journal_path, image.name, fingerprint, &records);
-    if (!opened.ok()) {
-      return opened.status();
-    }
-    journal = opened.take();
-    for (CampaignPassRecord& rec : records) {
-      journaled.insert_or_assign(rec.index, std::move(rec));
-    }
-  } else if (!config.journal_path.empty()) {
-    Result<std::unique_ptr<CampaignJournal>> created =
-        CampaignJournal::Create(config.journal_path, image.name, fingerprint);
-    if (!created.ok()) {
-      return created.status();
-    }
-    journal = created.take();
-  }
-  if (journal != nullptr && campaign_metrics != nullptr) {
-    journal->SetMetrics(campaign_metrics.get());
-  }
-
-  // Pass 0: plain baseline. Besides its own bugs, it measures the fault-site
-  // profile every later plan is generated from — which is why the journal
-  // stores the profile: a resume must reproduce the exact schedule without
-  // re-running the baseline. A failed baseline fails the whole campaign (and
-  // is deliberately not journaled, so a plain rerun retries it).
-  FaultSiteProfile profile;
-  HwSiteProfile hw_profile;
-  auto base_it = journaled.find(0);
-  if (base_it != journaled.end() && base_it->second.has_profile &&
-      !base_it->second.quarantined) {
-    profile = base_it->second.profile;
-    hw_profile = base_it->second.hw_profile;
-    PassOutcome restored =
-        OutcomeFromRecord(std::move(base_it->second), /*restored_from_journal=*/true);
-    merger.Merge(FaultPlan{}, restored);
-  } else {
-    PassOutcome baseline = executor.Execute(FaultPlan{});
-    if (baseline.quarantined) {
-      return Status::Error("campaign baseline pass failed: " + baseline.failure);
-    }
-    profile = baseline.ddt->engine().fault_site_profile();
-    hw_profile = baseline.ddt->engine().hw_site_profile();
-    if (journal != nullptr) {
-      obs::ScopedPhase journal_phase(baseline.profile.get(), obs::Phase::kJournal);
-      Status appended =
-          journal->Append(MakePassRecord(0, FaultPlan{}, baseline, &profile, &hw_profile));
-      if (!appended.ok()) {
-        return appended;
-      }
-    }
-    merger.Merge(FaultPlan{}, baseline);
-  }
-
-  size_t plan_budget = config.max_passes > 0 ? config.max_passes - 1 : 0;
-  std::vector<FaultPlan> plans =
-      GenerateCampaignPlans(profile, config.seed, config.max_occurrences_per_class,
-                            config.escalation_rounds, plan_budget);
-  // Hardware fault plans ride the same budget, after the kernel-API plans:
-  // the error paths §3.4 targets first are the common case, device-level
-  // hostility extends the campaign rather than displacing it.
-  if (config.hw_faults && plans.size() < plan_budget) {
-    std::vector<FaultPlan> hw_plans = GenerateHwCampaignPlans(
-        hw_profile, config.hw_max_points_per_kind, plan_budget - plans.size());
-    for (FaultPlan& plan : hw_plans) {
-      plans.push_back(std::move(plan));
-    }
-  }
-
-  // Partition the plans: journaled passes restore instantly, the rest run.
-  std::vector<PassOutcome> outcomes(plans.size());
-  std::vector<size_t> to_run;
-  for (size_t i = 0; i < plans.size(); ++i) {
-    auto it = journaled.find(i + 1);
-    if (it != journaled.end()) {
-      if (it->second.label != plans[i].label) {
-        return Status::Error(StrFormat(
-            "journal '%s' does not match the campaign schedule: pass %zu is '%s' in the "
-            "journal but '%s' in the regenerated plan",
-            config.journal_path.c_str(), i + 1, it->second.label.c_str(),
-            plans[i].label.c_str()));
-      }
-      outcomes[i] = OutcomeFromRecord(std::move(it->second), /*restored_from_journal=*/true);
-    } else {
-      to_run.push_back(i);
-    }
-  }
-
+  std::vector<uint64_t> to_run = schedule.Pending();
   size_t threads = config.threads == 0 ? ThreadPool::HardwareThreads()
                                        : static_cast<size_t>(config.threads);
   threads = std::max<size_t>(1, std::min(threads, std::max<size_t>(1, to_run.size())));
@@ -336,43 +214,34 @@ Result<FaultCampaignResult> RunFaultCampaign(const FaultCampaignConfig& config,
   // the calling thread and no worker pool is ever spawned — on a single-CPU
   // host pool handoff costs more than it buys (see bench_exec part 2).
   result.inline_scheduler = threads == 1;
-  result.searcher_name = SearchStrategyName(config.base.engine.strategy);
 
-  // Checkpointing happens here — from whichever thread finished the pass, in
-  // completion order — so a kill loses at most the passes still in flight.
-  std::mutex journal_error_mu;
-  Status journal_error;
-  auto run_one = [&executor, &plans, &outcomes, &journal, &journal_error_mu,
-                  &journal_error](size_t i) {
-    PassOutcome out = executor.Execute(plans[i]);
-    if (journal != nullptr) {
-      obs::ScopedPhase journal_phase(out.profile.get(), obs::Phase::kJournal);
-      Status appended = journal->Append(MakePassRecord(i + 1, plans[i], out, nullptr));
-      if (!appended.ok()) {
-        std::unique_lock<std::mutex> lock(journal_error_mu);
-        if (journal_error.ok()) {
-          journal_error = appended;
-        }
+  std::mutex error_mu;
+  Status error;
+  auto run_one = [&schedule, &executor, &error_mu, &error](uint64_t i) {
+    Status done = schedule.Complete(i, executor.Execute(schedule.plan(i)));
+    if (!done.ok()) {
+      std::unique_lock<std::mutex> lock(error_mu);
+      if (error.ok()) {
+        error = done;
       }
     }
-    outcomes[i] = std::move(out);
   };
 
   if (threads == 1) {
-    for (size_t i : to_run) {
+    for (uint64_t i : to_run) {
       run_one(i);
     }
   } else {
     ThreadPool pool(threads);
-    if (campaign_metrics != nullptr) {
-      pool.SetMetrics(campaign_metrics.get());
+    if (schedule.metrics() != nullptr) {
+      pool.SetMetrics(schedule.metrics());
     }
-    for (size_t i : to_run) {
+    for (uint64_t i : to_run) {
       pool.Submit([&run_one, i] { run_one(i); });
     }
     pool.Wait();
-    // execute_supervised traps everything thrown under it; an exception the
-    // pool still captured escaped the supervisor itself (e.g. OOM building a
+    // The executor traps everything thrown under it; an exception the pool
+    // still captured escaped the supervisor itself (e.g. OOM building a
     // journal record) — surface it instead of merging a silently-lost pass.
     std::vector<std::exception_ptr> errors = pool.TakeExceptions();
     if (!errors.empty()) {
@@ -386,57 +255,13 @@ Result<FaultCampaignResult> RunFaultCampaign(const FaultCampaignConfig& config,
       return Status::Error(message);
     }
   }
-  if (!journal_error.ok()) {
-    return journal_error;
+  if (!error.ok()) {
+    return error;
   }
-
-  // Merge in plan order: byte-identical no matter which passes were
-  // restored, which were executed, or how workers interleaved.
-  for (size_t i = 0; i < plans.size(); ++i) {
-    merger.Merge(plans[i], outcomes[i]);
+  Status finished = schedule.Finish(std::move(shared_cache), &result);
+  if (!finished.ok()) {
+    return finished;
   }
-
-  if (shared_cache != nullptr) {
-    result.shared_cache_used = true;
-    if (!config.shared_cache_path.empty()) {
-      Status saved = shared_cache->SaveToFile(config.shared_cache_path);
-      if (!saved.ok()) {
-        // Persistence is an accelerator, not a result: failing to write the
-        // warm-start file must never fail the campaign.
-        DDT_LOG_WARN("%s", saved.message().c_str());
-      }
-    }
-    SharedQueryCache::Stats cache_stats = shared_cache->stats();
-    result.shared_cache_entries = cache_stats.entries;
-    result.shared_cache_bytes = cache_stats.bytes;
-    result.shared_cache_evictions = cache_stats.evictions;
-    result.shared_cache_load_errors = cache_stats.load_errors;
-    result.shared_cache_loaded_entries = cache_stats.loaded_entries;
-    result.shared_cache_saved_entries = cache_stats.saved_entries;
-    if (campaign_metrics != nullptr) {
-      // Store-level instruments; the per-query hit/miss/store/verify
-      // counters are published per pass by the engine from SolverStats.
-      campaign_metrics->counter("solver.shared_cache.evictions")->Add(cache_stats.evictions);
-      campaign_metrics->counter("solver.shared_cache.load_errors")->Add(cache_stats.load_errors);
-      campaign_metrics->counter("solver.shared_cache.loaded_entries")
-          ->Add(cache_stats.loaded_entries);
-      campaign_metrics->counter("solver.shared_cache.saved_entries")
-          ->Add(cache_stats.saved_entries);
-      campaign_metrics->gauge("solver.shared_cache.entries")
-          ->Set(static_cast<int64_t>(cache_stats.entries));
-      campaign_metrics->gauge("solver.shared_cache.bytes")
-          ->Set(static_cast<int64_t>(cache_stats.bytes));
-    }
-    // The kept-alive Ddt instances hold solvers whose configs point at the
-    // cache; keep it alive as long as they are.
-    result.obs_keepalive.push_back(shared_cache);
-  }
-  if (campaign_metrics != nullptr) {
-    result.metrics.Merge(campaign_metrics->Snapshot());
-  }
-  result.campaign_wall_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - campaign_start)
-                                .count();
   return result;
 }
 

@@ -1,4 +1,4 @@
-// Fleet coordinator: lease scheduling, liveness, salvage, plan-order merge.
+// Fleet coordinator: lease scheduling, liveness, salvage, reassignment.
 //
 // The coordinator is a single-threaded event loop over the worker pipes plus
 // waitpid. Per tick it (1) drains every readable pipe through a FrameDecoder
@@ -10,12 +10,13 @@
 // by max_lease_retries, then the pass is quarantined), and respawn a
 // replacement if work remains.
 //
-// Determinism: the coordinator never merges in arrival order. It accumulates
-// records keyed by pass index (first record wins — a pass can legally be
-// reported twice, once over the wire and once via salvage) and merges them in
-// plan order at the end with the same CampaignMerger the in-process scheduler
-// uses, so the deterministic report is byte-identical to a single-process run
-// regardless of worker count, interleaving, or crash history.
+// Determinism: the coordinator is only a transport. Every record it receives
+// completes a pass in the same CampaignSchedule the in-process scheduler
+// uses (first record per pass index wins — a pass can legally be reported
+// twice, once over the wire and once via salvage), and the schedule merges in
+// plan order at the end, so the deterministic report is byte-identical to a
+// single-process run regardless of worker count, interleaving, or crash
+// history.
 #include "src/fleet/fleet.h"
 
 #include <fcntl.h>
@@ -30,14 +31,12 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "src/core/campaign_exec.h"
 #include "src/core/campaign_journal.h"
 #include "src/fleet/wire.h"
-#include "src/solver/shared_cache.h"
 #include "src/support/eintr.h"
 #include "src/support/log.h"
 #include "src/support/strings.h"
@@ -53,13 +52,6 @@ std::string ShardJournalPath(const std::string& shard_dir, uint32_t slot, uint64
                    static_cast<unsigned long long>(generation));
 }
 
-// How a pass record reached the coordinator; drives journaling and tallies.
-enum class RecordSource {
-  kResume,   // restored from the main journal (counts into passes_loaded)
-  kWire,     // RESULT frame (or synthesized quarantine)
-  kSalvage,  // recovered from a dead worker's shard journal
-};
-
 struct Slot {
   uint32_t id = 0;
   uint64_t generation = 0;
@@ -72,6 +64,7 @@ struct Slot {
   bool recycling = false;  // draining specifically to respawn fresh
   bool got_bye = false;
   bool eof = false;
+  bool reaped = false;  // waitpid collected the process; never signal its pid
   bool retired = false;  // never respawn (rejected HELLO or campaign drain)
   int64_t lease = -1;    // pass index in flight
   Clock::time_point last_heard;
@@ -86,10 +79,13 @@ class Coordinator {
  public:
   Coordinator(const FaultCampaignConfig& config, const DriverImage& image,
               const PciDescriptor& descriptor, const FleetCampaignConfig& fleet)
-      : config_(config), image_(image), descriptor_(descriptor), fleet_(fleet) {}
+      : config_(config),
+        image_(image),
+        descriptor_(descriptor),
+        fleet_(fleet),
+        schedule_(config, image) {}
 
   Result<FaultCampaignResult> Run() {
-    auto campaign_start = Clock::now();
     Status st = Setup();
     if (st.ok()) {
       st = EventLoop();
@@ -98,14 +94,11 @@ class Coordinator {
       Shutdown();
       return st;
     }
-    st = MergeAll();
+    PublishTallies();
+    st = schedule_.Finish(FoldCaches(), &result_);
     if (!st.ok()) {
       return st;
     }
-    FoldCaches();
-    PublishTallies();
-    result_.campaign_wall_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - campaign_start).count();
     return std::move(result_);
   }
 
@@ -113,10 +106,6 @@ class Coordinator {
   // --- Setup --------------------------------------------------------------
 
   Status Setup() {
-    Status valid = ValidateCampaignConfig(config_);
-    if (!valid.ok()) {
-      return valid;
-    }
     if (fleet_.workers == 0) {
       return Status::Error("fleet.workers must be >= 1");
     }
@@ -131,55 +120,18 @@ class Coordinator {
       // in-flight pass is still legitimately allowed to spend.
       return Status::Error(StrFormat(
           "fleet heartbeat/watchdog budget inversion: heartbeat_timeout_ms (%u) must exceed "
-          "max_pass_wall_ms (%u)",
-          fleet_.heartbeat_timeout_ms, config_.max_pass_wall_ms));
+          "max_pass_wall_ms (%llu)",
+          fleet_.heartbeat_timeout_ms,
+          static_cast<unsigned long long>(config_.max_pass_wall_ms)));
     }
-    fingerprint_ = CampaignFingerprint(config_, image_);
-
-    if (config_.collect_metrics) {
-      metrics_ = std::make_shared<obs::MetricsRegistry>();
+    // The main journal works exactly as in-process: a restored baseline makes
+    // the whole schedule known before any worker spawns.
+    Status opened = schedule_.Open();
+    if (!opened.ok()) {
+      return opened;
     }
-
-    // Main journal: exactly the in-process semantics — Create fresh, or
-    // OpenForResume and pre-populate completed passes.
-    std::map<uint64_t, CampaignPassRecord> resumed;
-    if (config_.resume) {
-      std::vector<CampaignPassRecord> records;
-      Result<std::unique_ptr<CampaignJournal>> opened = CampaignJournal::OpenForResume(
-          config_.journal_path, image_.name, fingerprint_, &records);
-      if (!opened.ok()) {
-        return opened.status();
-      }
-      journal_ = opened.take();
-      for (CampaignPassRecord& rec : records) {
-        resumed.insert_or_assign(rec.index, std::move(rec));
-      }
-    } else if (!config_.journal_path.empty()) {
-      Result<std::unique_ptr<CampaignJournal>> created =
-          CampaignJournal::Create(config_.journal_path, image_.name, fingerprint_);
-      if (!created.ok()) {
-        return created.status();
-      }
-      journal_ = created.take();
-    }
-    if (journal_ != nullptr && metrics_ != nullptr) {
-      journal_->SetMetrics(metrics_.get());
-    }
-
-    // A restored baseline (with its profile) makes the whole schedule known
-    // before any worker spawns; later restored passes are validated against
-    // the regenerated plans inside OnPlansReady.
-    resume_records_ = std::move(resumed);
-    auto base = resume_records_.find(0);
-    if (base != resume_records_.end() && base->second.has_profile && !base->second.quarantined) {
-      CampaignPassRecord rec = std::move(base->second);
-      resume_records_.erase(base);
-      Status accepted = AcceptRecord(std::move(rec), RecordSource::kResume);
-      if (!accepted.ok()) {
-        return accepted;
-      }
-    } else {
-      pending_.push_back(0);
+    for (uint64_t index : schedule_.Pending()) {
+      pending_.push_back(index);
     }
 
     slots_.resize(fleet_.workers);
@@ -196,7 +148,7 @@ class Coordinator {
   Status Spawn(Slot& slot) {
     slot.generation = ++generation_counter_;
     slot.journal_path = ShardJournalPath(fleet_.shard_dir, slot.id, slot.generation);
-    slot.helloed = slot.draining = slot.recycling = slot.got_bye = slot.eof = false;
+    slot.helloed = slot.draining = slot.recycling = slot.got_bye = slot.eof = slot.reaped = false;
     slot.decoder = FrameDecoder();
     slot.lease = -1;
     slot.cache_delta_path.clear();
@@ -287,7 +239,7 @@ class Coordinator {
   }
 
   bool WorkComplete() const {
-    if (!have_plans_ || !pending_.empty()) {
+    if (!schedule_.planned() || !pending_.empty()) {
       return false;
     }
     for (const Slot& slot : slots_) {
@@ -393,8 +345,8 @@ class Coordinator {
     // come from a dedicated worker thread). Spikes approaching
     // heartbeat_timeout_ms mean loss declarations are running close to the
     // wire.
-    if (metrics_ != nullptr) {
-      metrics_
+    if (schedule_.metrics() != nullptr) {
+      schedule_.metrics()
           ->histogram("fleet.frame_gap_ms", obs::Histogram::LatencyBucketsMs())
           ->Observe(std::chrono::duration<double, std::milli>(now - slot.last_heard).count());
     }
@@ -405,7 +357,7 @@ class Coordinator {
         if (!DecodeHello(frame.body, &hello)) {
           return HandleLoss(slot, "malformed HELLO");
         }
-        if (hello.fingerprint != fingerprint_) {
+        if (hello.fingerprint != schedule_.fingerprint()) {
           // A mismatched worker is *rejected*, not quarantined: it is running
           // a different campaign (config or image skew), which is an
           // operator problem, not a pass problem. No salvage, no respawn.
@@ -431,10 +383,10 @@ class Coordinator {
         if (slot.lease >= 0 && static_cast<uint64_t>(slot.lease) == index) {
           slot.lease = -1;
           ++slot.leases_served;
-        } else if (completed_.find(index) == completed_.end()) {
+        } else if (!schedule_.IsComplete(index)) {
           return HandleLoss(slot, "RESULT for a pass this worker does not hold");
         }
-        Status accepted = AcceptRecord(std::move(record), RecordSource::kWire);
+        Status accepted = AcceptRecord(std::move(record), /*salvaged=*/false);
         if (!accepted.ok()) {
           return accepted;
         }
@@ -472,6 +424,20 @@ class Coordinator {
       }
       int status = 0;
       if (TryReap(slot.pid, &status)) {
+        slot.reaped = true;
+        // A worker may exit right after writing its last frames (its BYE
+        // included) and be reaped before a poll delivered them: read them
+        // first, so a clean drain is not mistaken for a loss.
+        uint64_t generation = slot.generation;
+        if (!slot.eof) {
+          Status drained = DrainPipe(slot);
+          if (!drained.ok()) {
+            return drained;
+          }
+          if (!slot.alive() || slot.generation != generation) {
+            continue;  // the stream itself declared the loss
+          }
+        }
         if (slot.got_bye || (slot.draining && !slot.recycling && WIFEXITED(status) &&
                              WEXITSTATUS(status) == 0)) {
           Status st = RetireCleanly(slot);
@@ -479,7 +445,7 @@ class Coordinator {
             return st;
           }
         } else {
-          Status st = HandleLoss(slot, DescribeExit(status), /*already_reaped=*/true);
+          Status st = HandleLoss(slot, DescribeExit(status));
           if (!st.ok()) {
             return st;
           }
@@ -500,7 +466,7 @@ class Coordinator {
 
   Status RetireCleanly(Slot& slot) {
     CloseSlot(slot);
-    if (slot.recycling && (!pending_.empty() || !have_plans_) && !drain_started_) {
+    if (slot.recycling && (!pending_.empty() || !schedule_.planned()) && !drain_started_) {
       slot.retired = false;
       return Spawn(slot);
     }
@@ -510,14 +476,14 @@ class Coordinator {
 
   // The one road out for every abnormal end: kill with certainty, salvage the
   // shard journal, requeue the in-flight lease, respawn if work remains.
-  Status HandleLoss(Slot& slot, const std::string& reason, bool already_reaped = false) {
+  Status HandleLoss(Slot& slot, const std::string& reason) {
     if (!slot.alive()) {
       return Status::Ok();
     }
     DDT_LOG_WARN("fleet worker %u (pid %d, gen %llu) lost: %s", slot.id,
                  static_cast<int>(slot.pid), static_cast<unsigned long long>(slot.generation),
                  reason.c_str());
-    if (!already_reaped) {
+    if (!slot.reaped) {
       KillAndReap(slot.pid);  // no zombie writer may race the shard journal
     }
     bool was_rejected = slot.draining && slot.retired && !slot.recycling && !slot.helloed;
@@ -531,10 +497,10 @@ class Coordinator {
     // completed pass the campaign keeps — including, possibly, the in-flight
     // lease itself (died after journaling, before RESULT).
     Result<std::vector<CampaignPassRecord>> salvaged =
-        LoadCampaignJournalRecords(slot.journal_path, image_.name, fingerprint_);
+        LoadCampaignJournalRecords(slot.journal_path, image_.name, schedule_.fingerprint());
     if (salvaged.ok()) {
       for (CampaignPassRecord& rec : salvaged.value()) {
-        Status accepted = AcceptRecord(std::move(rec), RecordSource::kSalvage);
+        Status accepted = AcceptRecord(std::move(rec), /*salvaged=*/true);
         if (!accepted.ok()) {
           return accepted;
         }
@@ -547,28 +513,19 @@ class Coordinator {
     if (slot.lease >= 0) {
       uint64_t index = static_cast<uint64_t>(slot.lease);
       slot.lease = -1;
-      if (completed_.find(index) == completed_.end()) {
+      if (!schedule_.IsComplete(index)) {
         uint32_t losses = ++lease_losses_[index];
         if (losses > fleet_.max_lease_retries) {
-          if (index == 0) {
-            return Status::Error(StrFormat(
-                "campaign baseline pass failed: worker process lost %u times executing it",
-                losses));
-          }
           // The pass kills whoever runs it. Quarantine it with a
           // deterministic failure string (no pids, no timing) so resumed or
-          // re-run fleets produce the same record.
-          CampaignPassRecord rec;
-          rec.index = index;
-          rec.label = plans_[index - 1].label;
-          rec.points = plans_[index - 1].points;
-          rec.hw_points = plans_[index - 1].hw_points;
-          rec.quarantined = true;
-          rec.failure =
-              StrFormat("worker process lost %u times executing this pass", losses);
-          Status accepted = AcceptRecord(std::move(rec), RecordSource::kWire);
-          if (!accepted.ok()) {
-            return accepted;
+          // re-run fleets produce the same record; a lethal baseline fails
+          // the campaign.
+          PassOutcome lost;
+          lost.quarantined = true;
+          lost.failure = StrFormat("worker process lost %u times executing this pass", losses);
+          Status completed = schedule_.Complete(index, std::move(lost));
+          if (!completed.ok()) {
+            return completed;
           }
         } else {
           pending_.push_front(index);
@@ -577,7 +534,7 @@ class Coordinator {
       }
     }
 
-    if (!drain_started_ && (!pending_.empty() || !have_plans_)) {
+    if (!drain_started_ && (!pending_.empty() || !schedule_.planned())) {
       return Spawn(slot);
     }
     slot.retired = true;
@@ -611,9 +568,7 @@ class Coordinator {
       uint64_t index = pending_.front();
       LeaseBody lease;
       lease.index = index;
-      if (index > 0) {
-        lease.plan = plans_[index - 1];
-      }
+      lease.plan = schedule_.plan(index);
       Status written = WriteFrame(slot.to_fd, FrameType::kLease, EncodeLease(lease));
       if (!written.ok()) {
         Status st = HandleLoss(slot, "lease write failed");
@@ -633,83 +588,23 @@ class Coordinator {
 
   // --- Record accounting ---------------------------------------------------
 
-  Status AcceptRecord(CampaignPassRecord record, RecordSource source) {
+  // Completes a pass from a worker's record; once that generates the plan
+  // passes (the baseline did), queues them for leasing.
+  Status AcceptRecord(CampaignPassRecord record, bool salvaged) {
     uint64_t index = record.index;
-    if (completed_.find(index) != completed_.end()) {
-      return Status::Ok();  // idempotent: wire + salvage may both report it
+    bool was_complete = schedule_.IsComplete(index);
+    bool was_planned = schedule_.planned();
+    Status completed = schedule_.Complete(
+        index, OutcomeFromRecord(std::move(record), /*restored_from_journal=*/false));
+    if (!completed.ok()) {
+      return completed;
     }
-    if (have_plans_ && index > plans_.size()) {
-      return Status::Ok();  // stray record beyond the schedule
-    }
-    if (index == 0) {
-      if (record.quarantined) {
-        return Status::Error("campaign baseline pass failed: " + record.failure);
-      }
-      if (!record.has_profile) {
-        return Status::Error(
-            "fleet worker returned a baseline record without a fault-site profile");
-      }
-    }
-    if (source != RecordSource::kResume && journal_ != nullptr) {
-      Status appended = journal_->Append(record);
-      if (!appended.ok()) {
-        return appended;
-      }
-    }
-    if (source == RecordSource::kResume) {
-      restored_.insert(index);
-    }
-    if (source == RecordSource::kSalvage) {
+    if (salvaged && !was_complete && schedule_.IsComplete(index)) {
       ++result_.fleet_results_salvaged;
     }
-    bool was_baseline = index == 0 && !have_plans_;
-    FaultSiteProfile profile = record.profile;
-    HwSiteProfile hw_profile = record.hw_profile;
-    completed_.emplace(index, std::move(record));
-    if (was_baseline) {
-      return OnPlansReady(profile, hw_profile);
-    }
-    return Status::Ok();
-  }
-
-  Status OnPlansReady(const FaultSiteProfile& profile, const HwSiteProfile& hw_profile) {
-    size_t plan_budget = config_.max_passes > 0 ? config_.max_passes - 1 : 0;
-    plans_ = GenerateCampaignPlans(profile, config_.seed, config_.max_occurrences_per_class,
-                                   config_.escalation_rounds, plan_budget);
-    // Same appending rule as the in-process scheduler, from the same profile
-    // (carried in the baseline record), so both schedulers derive the
-    // identical schedule and the merged reports stay byte-identical.
-    if (config_.hw_faults && plans_.size() < plan_budget) {
-      std::vector<FaultPlan> hw_plans = GenerateHwCampaignPlans(
-          hw_profile, config_.hw_max_points_per_kind, plan_budget - plans_.size());
-      for (FaultPlan& plan : hw_plans) {
-        plans_.push_back(std::move(plan));
-      }
-    }
-    have_plans_ = true;
-    // Fold in resume-journal records now that labels can be validated, then
-    // queue whatever is still missing.
-    for (size_t i = 0; i < plans_.size(); ++i) {
-      auto it = resume_records_.find(i + 1);
-      if (it == resume_records_.end()) {
-        continue;
-      }
-      if (it->second.label != plans_[i].label) {
-        return Status::Error(StrFormat(
-            "journal '%s' does not match the campaign schedule: pass %zu is '%s' in the "
-            "journal but '%s' in the regenerated plan",
-            config_.journal_path.c_str(), i + 1, it->second.label.c_str(),
-            plans_[i].label.c_str()));
-      }
-      Status accepted = AcceptRecord(std::move(it->second), RecordSource::kResume);
-      if (!accepted.ok()) {
-        return accepted;
-      }
-    }
-    resume_records_.clear();
-    for (size_t i = 0; i < plans_.size(); ++i) {
-      if (completed_.find(i + 1) == completed_.end()) {
-        pending_.push_back(i + 1);
+    if (!was_planned && schedule_.planned()) {
+      for (uint64_t pending : schedule_.Pending()) {
+        pending_.push_back(pending);
       }
     }
     return Status::Ok();
@@ -717,59 +612,18 @@ class Coordinator {
 
   // --- Finalization --------------------------------------------------------
 
-  Status MergeAll() {
-    CampaignMerger merger(&result_);
-    auto merge_one = [this, &merger](uint64_t index, const FaultPlan& plan) -> Status {
-      auto it = completed_.find(index);
-      if (it == completed_.end()) {
-        return Status::Error(StrFormat(
-            "fleet internal error: pass %llu completed nowhere",
-            static_cast<unsigned long long>(index)));
-      }
-      PassOutcome outcome = OutcomeFromRecord(
-          std::move(it->second), /*restored_from_journal=*/restored_.count(index) != 0);
-      merger.Merge(plan, outcome);
-      return Status::Ok();
-    };
-    Status st = merge_one(0, FaultPlan{});
-    if (!st.ok()) {
-      return st;
-    }
-    for (size_t i = 0; i < plans_.size(); ++i) {
-      st = merge_one(i + 1, plans_[i]);
-      if (!st.ok()) {
-        return st;
-      }
-    }
-    return Status::Ok();
-  }
-
-  void FoldCaches() {
-    if (!config_.shared_cache && config_.shared_cache_path.empty()) {
-      return;
-    }
-    result_.shared_cache_used = true;
+  // Workers warm-start private caches and write their deltas at drain; the
+  // campaign's store is the shared file with every delta folded in. In
+  // memory-only mode each worker's cache died with it: nothing to fold.
+  std::shared_ptr<SharedQueryCache> FoldCaches() {
     if (config_.shared_cache_path.empty()) {
-      return;  // memory-only mode: each worker's cache died with it
+      return nullptr;
     }
-    SharedCacheConfig cache_config;
-    cache_config.max_bytes = config_.shared_cache_max_bytes;
-    SharedQueryCache cache(cache_config);
-    cache.LoadFromFile(config_.shared_cache_path);
+    std::shared_ptr<SharedQueryCache> cache = OpenCampaignCache(config_);
     for (const std::string& path : cache_delta_paths_) {
-      cache.LoadFromFile(path);
+      cache->LoadFromFile(path);
     }
-    Status saved = cache.SaveToFile(config_.shared_cache_path);
-    if (!saved.ok()) {
-      DDT_LOG_WARN("%s", saved.message().c_str());
-    }
-    SharedQueryCache::Stats stats = cache.stats();
-    result_.shared_cache_entries = stats.entries;
-    result_.shared_cache_bytes = stats.bytes;
-    result_.shared_cache_evictions = stats.evictions;
-    result_.shared_cache_load_errors = stats.load_errors;
-    result_.shared_cache_loaded_entries = stats.loaded_entries;
-    result_.shared_cache_saved_entries = stats.saved_entries;
+    return cache;
   }
 
   void PublishTallies() {
@@ -777,17 +631,16 @@ class Coordinator {
     result_.fleet_workers = fleet_.workers;
     result_.threads_used = 1;
     result_.inline_scheduler = false;
-    result_.searcher_name = SearchStrategyName(config_.base.engine.strategy);
-    if (metrics_ != nullptr) {
-      metrics_->counter("fleet.workers_spawned")->Add(result_.fleet_workers_spawned);
-      metrics_->counter("fleet.workers_lost")->Add(result_.fleet_workers_lost);
-      metrics_->counter("fleet.workers_rejected")->Add(result_.fleet_workers_rejected);
-      metrics_->counter("fleet.workers_recycled")->Add(result_.fleet_workers_recycled);
-      metrics_->counter("fleet.leases_reassigned")->Add(result_.fleet_leases_reassigned);
-      metrics_->counter("fleet.results_salvaged")->Add(result_.fleet_results_salvaged);
-      metrics_->counter("fleet.heartbeats")->Add(heartbeats_);
-      metrics_->gauge("fleet.workers")->Set(static_cast<int64_t>(fleet_.workers));
-      result_.metrics.Merge(metrics_->Snapshot());
+    obs::MetricsRegistry* metrics = schedule_.metrics();
+    if (metrics != nullptr) {
+      metrics->counter("fleet.workers_spawned")->Add(result_.fleet_workers_spawned);
+      metrics->counter("fleet.workers_lost")->Add(result_.fleet_workers_lost);
+      metrics->counter("fleet.workers_rejected")->Add(result_.fleet_workers_rejected);
+      metrics->counter("fleet.workers_recycled")->Add(result_.fleet_workers_recycled);
+      metrics->counter("fleet.leases_reassigned")->Add(result_.fleet_leases_reassigned);
+      metrics->counter("fleet.results_salvaged")->Add(result_.fleet_results_salvaged);
+      metrics->counter("fleet.heartbeats")->Add(heartbeats_);
+      metrics->gauge("fleet.workers")->Set(static_cast<int64_t>(fleet_.workers));
     }
   }
 
@@ -805,21 +658,14 @@ class Coordinator {
   const PciDescriptor& descriptor_;
   const FleetCampaignConfig& fleet_;
 
-  uint64_t fingerprint_ = 0;
-  std::unique_ptr<CampaignJournal> journal_;
-  std::shared_ptr<obs::MetricsRegistry> metrics_;
+  CampaignSchedule schedule_;
   FaultCampaignResult result_;
 
   std::vector<Slot> slots_;
   uint64_t generation_counter_ = 0;
 
-  std::vector<FaultPlan> plans_;
-  bool have_plans_ = false;
-  std::deque<uint64_t> pending_;
+  std::deque<uint64_t> pending_;  // leasable pass indices (front = next)
   std::map<uint64_t, uint32_t> lease_losses_;
-  std::map<uint64_t, CampaignPassRecord> completed_;
-  std::map<uint64_t, CampaignPassRecord> resume_records_;
-  std::set<uint64_t> restored_;
 
   bool drain_started_ = false;
   int64_t leases_assigned_ = 0;

@@ -10,18 +10,20 @@
 //               ──pipe──> worker 1
 //               ──pipe──> ...
 //
-// The coordinator owns the schedule: it leases pass indices to workers over
-// the wire protocol (src/fleet/wire.h), tracks liveness via heartbeats and
-// waitpid, and merges RESULT records in plan order with the same
-// CampaignMerger the in-process scheduler uses. A worker that dies — any
+// The coordinator is a transport for the same CampaignSchedule
+// (src/core/campaign_exec.h) the in-process thread pool drives: it leases the
+// schedule's pending pass indices to workers over the wire protocol
+// (src/fleet/wire.h), tracks liveness via heartbeats and waitpid, and
+// completes each pass in the schedule from its RESULT record; the schedule
+// journals and merges exactly as in process. A worker that dies — any
 // signal, any exit, any corrupt byte stream — costs exactly its in-flight
 // lease: the coordinator salvages completed records from the dead worker's
 // shard journal, re-queues the lease (bounded retries, then the pass is
 // quarantined with a deterministic failure), and spawns a replacement.
-// Because execution is decoupled from merging and records are keyed by pass
-// index (idempotent: first record for an index wins), the merged report's
-// deterministic section is byte-identical to a single-process run at any
-// worker count and any crash/reassignment history.
+// Because execution is decoupled from merging and the schedule keys records
+// by pass index (idempotent: first record for an index wins), the merged
+// report's deterministic section is byte-identical to a single-process run at
+// any worker count and any crash/reassignment history.
 //
 // The shared solver cache crosses the process boundary read-only: every
 // worker warm-starts from `shared_cache_path`, accumulates privately, and
@@ -45,8 +47,8 @@ namespace ddt {
 namespace fleet {
 
 // Everything a worker process needs beyond the campaign config itself. In
-// fork mode these are passed in memory; the fault_campaign example's exec
-// mode reconstructs them from --fleet-* flags.
+// fork mode these are passed in memory; in exec mode they travel as the
+// coordinator-appended --fleet-* flags.
 struct FleetWorkerOptions {
   int in_fd = kChildInFd;    // coordinator -> worker frames
   int out_fd = kChildOutFd;  // worker -> coordinator frames
@@ -62,9 +64,6 @@ struct FleetWorkerOptions {
   // sending its RESULT frame, die via SIGKILL. Exercises the salvage path:
   // the record exists only in the shard journal.
   int64_t kill_after_journal_result = -1;  // 1-based count of executed passes
-  // After sending the Nth RESULT frame, die via SIGKILL. Exercises
-  // reassignment of the *next* lease mid-flight.
-  int64_t kill_after_result = -1;  // 1-based
   // Send every RESULT frame twice. Exercises the coordinator's idempotent
   // merge (duplicate records for a pass index are dropped).
   bool duplicate_results = false;
@@ -101,8 +100,9 @@ struct FleetCampaignConfig {
   // process and run RunFleetWorker on the in-memory config (do not combine
   // with other live threads in the calling process; see subprocess.h).
   // Non-empty: exec mode — this binary is spawned with worker_args plus the
-  // coordinator-appended --fleet-worker identity flags (see the
-  // fault_campaign example).
+  // coordinator-appended --fleet-worker identity flags. worker_args should
+  // rebuild the coordinator's campaign config (the fault_campaign example
+  // passes its own argv), or HELLO rejects the worker.
   std::string worker_exec;
   std::vector<std::string> worker_args;
   // Forwarded to fork-mode workers (fault hooks for tests; ignored in exec

@@ -89,7 +89,7 @@ uint32_t ReadU32At(const char* p) {
 
 bool ValidFrameType(uint8_t t) {
   return t >= static_cast<uint8_t>(FrameType::kHello) &&
-         t <= static_cast<uint8_t>(FrameType::kFuzzExec);
+         t <= static_cast<uint8_t>(FrameType::kBye);
 }
 
 }  // namespace
@@ -266,42 +266,6 @@ bool DecodeBye(std::string_view body, ByeBody* bye) {
   BodyReader r{body.data(), body.size()};
   bye->code = r.U8();
   bye->detail = r.Str();
-  return r.Done();
-}
-
-std::string EncodeFuzzExecLease(const FuzzExecLease& lease) {
-  std::string body;
-  AppendU64(&body, lease.index);
-  AppendStr(&body, lease.input_text);
-  return body;
-}
-
-bool DecodeFuzzExecLease(std::string_view body, FuzzExecLease* lease) {
-  BodyReader r{body.data(), body.size()};
-  lease->index = r.U64();
-  lease->input_text = r.Str();
-  return r.Done();
-}
-
-std::string EncodeFuzzExecResult(const FuzzExecResultBody& result) {
-  std::string body;
-  AppendU64(&body, result.index);
-  body.push_back(static_cast<char>(result.ok));
-  AppendStr(&body, result.failure);
-  AppendStr(&body, result.coverage_hex);
-  AppendU64(&body, result.instructions);
-  AppendStr(&body, result.bugs_text);
-  return body;
-}
-
-bool DecodeFuzzExecResult(std::string_view body, FuzzExecResultBody* result) {
-  BodyReader r{body.data(), body.size()};
-  result->index = r.U64();
-  result->ok = r.U8();
-  result->failure = r.Str();
-  result->coverage_hex = r.Str();
-  result->instructions = r.U64();
-  result->bugs_text = r.Str();
   return r.Done();
 }
 

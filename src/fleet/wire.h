@@ -16,6 +16,9 @@
 //                           BYE(code, detail)        drain and exit (code 0) or
 //                                                    rejected at HELLO (code 1)
 //
+// Campaign passes are the only work the protocol carries (the fuzz loop's
+// concrete executions run on the campaign's thread pool).
+//
 // The CRC (src/support/crc32.h — the same function that seals journal lines
 // and cache files) is not paranoia about pipe corruption; it is what lets the
 // coordinator treat *any* malformed byte stream from a dying or misbehaving
@@ -47,10 +50,6 @@ enum class FrameType : uint8_t {
   kHeartbeat = 3,
   kResult = 4,
   kBye = 5,
-  // Fuzz-loop sharding (src/fuzz): the same frame type carries a
-  // FuzzExecLease coordinator -> worker and a FuzzExecResultBody back —
-  // direction disambiguates, exactly as kBye does.
-  kFuzzExec = 6,
 };
 
 // Caps a frame at far more than any record needs; a length prefix beyond it
@@ -123,30 +122,6 @@ constexpr uint8_t kByeDrain = 0;
 constexpr uint8_t kByeRejected = 1;
 std::string EncodeBye(const ByeBody& bye);
 bool DecodeBye(std::string_view body, ByeBody* bye);
-
-// FUZZ_EXEC coordinator -> worker: replay this serialized fuzz input
-// (src/fuzz/input.h text form — already process-independent, so the wire
-// carries it verbatim like RESULT carries pass records).
-struct FuzzExecLease {
-  uint64_t index = 0;  // exec index within the batch
-  std::string input_text;
-};
-std::string EncodeFuzzExecLease(const FuzzExecLease& lease);
-bool DecodeFuzzExecLease(std::string_view body, FuzzExecLease* lease);
-
-// FUZZ_EXEC worker -> coordinator: one execution's outcome. Coverage crosses
-// as the bitmap's hex form and bugs as a bug_io report, so a result merged
-// from a worker is byte-identical to one executed in-process.
-struct FuzzExecResultBody {
-  uint64_t index = 0;
-  uint8_t ok = 0;
-  std::string failure;
-  std::string coverage_hex;
-  uint64_t instructions = 0;
-  std::string bugs_text;
-};
-std::string EncodeFuzzExecResult(const FuzzExecResultBody& result);
-bool DecodeFuzzExecResult(std::string_view body, FuzzExecResultBody* result);
 
 }  // namespace fleet
 }  // namespace ddt

@@ -126,15 +126,7 @@ int RunFleetWorker(const FaultCampaignConfig& config, const DriverImage& image,
   // Private solver cache, warm-started read-only from the shared file. The
   // worker never writes the shared path — its accumulated entries go to a
   // per-worker delta file at drain, which the coordinator folds back.
-  std::shared_ptr<SharedQueryCache> cache;
-  if (worker_config.shared_cache || !worker_config.shared_cache_path.empty()) {
-    SharedCacheConfig cache_config;
-    cache_config.max_bytes = worker_config.shared_cache_max_bytes;
-    cache = std::make_shared<SharedQueryCache>(cache_config);
-    if (!worker_config.shared_cache_path.empty()) {
-      cache->LoadFromFile(worker_config.shared_cache_path);
-    }
-  }
+  std::shared_ptr<SharedQueryCache> cache = OpenCampaignCache(worker_config);
 
   std::string journal_path = ShardJournalPath(options);
   Result<std::unique_ptr<CampaignJournal>> journal =
@@ -169,18 +161,7 @@ int RunFleetWorker(const FaultCampaignConfig& config, const DriverImage& image,
           return 2;
         }
         PassOutcome out = executor.Execute(lease.plan);
-        FaultSiteProfile profile;
-        HwSiteProfile hw_profile;
-        const FaultSiteProfile* profile_ptr = nullptr;
-        const HwSiteProfile* hw_profile_ptr = nullptr;
-        if (lease.index == 0 && !out.quarantined) {
-          profile = out.ddt->engine().fault_site_profile();
-          profile_ptr = &profile;
-          hw_profile = out.ddt->engine().hw_site_profile();
-          hw_profile_ptr = &hw_profile;
-        }
-        CampaignPassRecord record =
-            MakePassRecord(lease.index, lease.plan, out, profile_ptr, hw_profile_ptr);
+        CampaignPassRecord record = MakePassRecord(lease.index, lease.plan, out);
         Status appended = journal.value()->Append(record);
         if (!appended.ok()) {
           DDT_LOG_WARN("fleet worker %u: %s", options.slot, appended.message().c_str());
@@ -197,9 +178,6 @@ int RunFleetWorker(const FaultCampaignConfig& config, const DriverImage& image,
         if (options.duplicate_results &&
             !writer.Write(FrameType::kResult, payload).ok()) {
           return 2;
-        }
-        if (options.kill_after_result == executed) {
-          ::raise(SIGKILL);
         }
         break;
       }

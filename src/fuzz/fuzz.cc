@@ -1,7 +1,5 @@
 #include "src/fuzz/fuzz.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -11,12 +9,9 @@
 
 #include "src/core/bug_io.h"
 #include "src/core/campaign_exec.h"
-#include "src/fleet/wire.h"
 #include "src/fuzz/executor.h"
 #include "src/support/check.h"
-#include "src/support/eintr.h"
 #include "src/support/strings.h"
-#include "src/support/subprocess.h"
 #include "src/support/thread_pool.h"
 
 namespace ddt {
@@ -24,14 +19,7 @@ namespace fuzz {
 
 namespace {
 
-// Same identity key the campaign merger deduplicates with
-// (src/core/campaign_exec.cc) — a fuzz bug is "new" iff no campaign pass and
-// no earlier fuzz exec already reported it.
-std::string BugKey(const Bug& bug) {
-  return StrFormat("%d|%s", static_cast<int>(bug.type), bug.title.c_str());
-}
-
-// In-process execution: campaign.threads semantics (0 = one per hardware
+// Runs one batch on campaign.threads semantics (0 = one per hardware
 // thread, 1 = inline). Results land in exec-index slots, so the merge order
 // downstream is independent of completion order.
 std::vector<FuzzExecResult> ExecuteBatchThreads(const FuzzExecutor& executor,
@@ -54,209 +42,6 @@ std::vector<FuzzExecResult> ExecuteBatchThreads(const FuzzExecutor& executor,
   // Execute() catches everything itself; the pool's capture is the backstop.
   // A slot a crashed task never filled stays !ok and quarantines below.
   pool.TakeExceptions();
-  return results;
-}
-
-// Frames on a fuzz shard pipe are *streamed* — the coordinator pushes a whole
-// shard's leases (plus the BYE) in one write, and the worker streams results
-// back — so each side must keep one decoder alive across frames. A per-call
-// fleet::ReadFrame would silently drop every frame after the first in each
-// read() chunk.
-class FrameStream {
- public:
-  explicit FrameStream(int fd) : fd_(fd) {}
-
-  Result<fleet::Frame> Next() {
-    fleet::Frame frame;
-    char chunk[4096];
-    for (;;) {
-      fleet::FrameDecoder::Next next = decoder_.Pop(&frame);
-      if (next == fleet::FrameDecoder::Next::kFrame) {
-        return frame;
-      }
-      if (next == fleet::FrameDecoder::Next::kCorrupt) {
-        return Status::Error("fuzz pipe frame corrupt");
-      }
-      ssize_t n = RetryOnEintr([&] { return ::read(fd_, chunk, sizeof(chunk)); });
-      if (n < 0) {
-        return Status::Error("fuzz pipe read failed");
-      }
-      if (n == 0) {
-        return Status::Error("fuzz pipe closed");
-      }
-      decoder_.Feed(chunk, static_cast<size_t>(n));
-    }
-  }
-
- private:
-  int fd_;
-  fleet::FrameDecoder decoder_;
-};
-
-// Child side of a fuzz shard: lease in, result out, BYE ends the loop. Any
-// protocol error exits nonzero; the coordinator salvages the shard inline.
-int FuzzWorkerMain(const FuzzExecutor& executor, int in_fd, int out_fd) {
-  FrameStream frames(in_fd);
-  for (;;) {
-    Result<fleet::Frame> frame = frames.Next();
-    if (!frame.ok()) {
-      return 2;
-    }
-    if (frame.value().type == fleet::FrameType::kBye) {
-      return 0;
-    }
-    if (frame.value().type != fleet::FrameType::kFuzzExec) {
-      return 2;
-    }
-    fleet::FuzzExecLease lease;
-    if (!fleet::DecodeFuzzExecLease(frame.value().body, &lease)) {
-      return 2;
-    }
-    fleet::FuzzExecResultBody body;
-    body.index = lease.index;
-    Result<FuzzInput> input = ParseFuzzInput(lease.input_text);
-    if (!input.ok()) {
-      body.ok = 0;
-      body.failure = input.error();
-    } else {
-      FuzzExecResult res = executor.Execute(input.value());
-      body.ok = res.ok ? 1 : 0;
-      body.failure = res.failure;
-      body.coverage_hex = res.coverage.ToHex();
-      body.instructions = res.instructions;
-      body.bugs_text = res.bugs_text;
-    }
-    if (!fleet::WriteFrame(out_fd, fleet::FrameType::kFuzzExec, fleet::EncodeFuzzExecResult(body))
-             .ok()) {
-      return 2;
-    }
-  }
-}
-
-void WriteAllBestEffort(int fd, const std::string& bytes) {
-  size_t written = 0;
-  while (written < bytes.size()) {
-    ssize_t n = RetryOnEintr(
-        [&] { return ::write(fd, bytes.data() + written, bytes.size() - written); });
-    if (n <= 0) {
-      return;  // dead worker; the read side detects and salvages
-    }
-    written += static_cast<size_t>(n);
-  }
-}
-
-// Fork-isolated execution: worker w owns exec indices i % W == w. Each
-// shard's leases (plus the closing BYE) are one pre-encoded byte string
-// pushed by a writer thread while the main thread drains results, so a full
-// pipe on either side can never deadlock the batch. Lost workers (crash,
-// corrupt frame) cost nothing but wall time: their missing execs re-run
-// inline, and determinism is unaffected because results merge by index.
-std::vector<FuzzExecResult> ExecuteBatchWorkers(const FuzzExecutor& executor,
-                                                const std::vector<FuzzInput>& inputs,
-                                                uint32_t workers, FuzzCampaignResult* tallies) {
-  std::vector<FuzzExecResult> results(inputs.size());
-  std::vector<bool> have(inputs.size(), false);
-  size_t num_shards = std::min<size_t>(workers, inputs.size());
-
-  struct Shard {
-    ChildProcess child;
-    std::string lease_bytes;
-    std::vector<size_t> indices;
-    bool alive = false;
-  };
-  std::vector<Shard> shards(num_shards);
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    shards[i % num_shards].indices.push_back(i);
-  }
-  // Fork before any threads exist (see src/support/subprocess.h).
-  for (Shard& shard : shards) {
-    for (size_t idx : shard.indices) {
-      fleet::FuzzExecLease lease;
-      lease.index = idx;
-      lease.input_text = SerializeFuzzInput(inputs[idx]);
-      shard.lease_bytes +=
-          fleet::EncodeFrame(fleet::FrameType::kFuzzExec, fleet::EncodeFuzzExecLease(lease));
-    }
-    shard.lease_bytes += fleet::EncodeFrame(fleet::FrameType::kBye,
-                                            fleet::EncodeBye(fleet::ByeBody{fleet::kByeDrain, ""}));
-    Result<ChildProcess> spawned =
-        SpawnChild([&executor](int in_fd, int out_fd) { return FuzzWorkerMain(executor, in_fd, out_fd); });
-    if (spawned.ok()) {
-      shard.child = spawned.value();
-      shard.alive = true;
-      ++tallies->fuzz_workers_spawned;
-    }
-  }
-
-  {
-    ThreadPool writers(std::max<size_t>(num_shards, 1));
-    for (Shard& shard : shards) {
-      if (shard.alive) {
-        writers.Submit([&shard] { WriteAllBestEffort(shard.child.to_child_fd, shard.lease_bytes); });
-      }
-    }
-    for (Shard& shard : shards) {
-      if (!shard.alive) {
-        continue;
-      }
-      bool lost = false;
-      FrameStream frames(shard.child.from_child_fd);
-      for (size_t got = 0; got < shard.indices.size(); ++got) {
-        Result<fleet::Frame> frame = frames.Next();
-        fleet::FuzzExecResultBody body;
-        if (!frame.ok() || frame.value().type != fleet::FrameType::kFuzzExec ||
-            !fleet::DecodeFuzzExecResult(frame.value().body, &body) ||
-            body.index >= results.size()) {
-          lost = true;
-          break;
-        }
-        FuzzExecResult r;
-        r.ok = body.ok != 0;
-        r.failure = body.failure;
-        r.instructions = body.instructions;
-        r.bugs_text = body.bugs_text;
-        if (!CoverageBitmap::FromHex(body.coverage_hex, &r.coverage)) {
-          lost = true;
-          break;
-        }
-        results[body.index] = std::move(r);
-        have[body.index] = true;
-      }
-      if (lost) {
-        ++tallies->fuzz_workers_lost;
-        KillAndReap(shard.child.pid);
-        shard.child.CloseFds();
-        shard.alive = false;
-      }
-    }
-    writers.Wait();
-  }
-
-  // Healthy workers exit on their BYE; give them a moment, then insist.
-  for (Shard& shard : shards) {
-    if (!shard.alive) {
-      continue;
-    }
-    bool reaped = false;
-    for (int spin = 0; spin < 1000 && !reaped; ++spin) {
-      int status = 0;
-      reaped = TryReap(shard.child.pid, &status);
-      if (!reaped) {
-        ::usleep(10 * 1000);
-      }
-    }
-    if (!reaped) {
-      KillAndReap(shard.child.pid);
-    }
-    shard.child.CloseFds();
-  }
-
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    if (!have[i] && results[i].failure.empty() && !results[i].ok) {
-      results[i] = executor.Execute(inputs[i]);
-      ++tallies->fuzz_execs_salvaged;
-    }
-  }
   return results;
 }
 
@@ -302,10 +87,6 @@ std::string FuzzCampaignResult::FormatReport(const std::string& driver_name,
   }
   if (include_volatile) {
     out += StrFormat("fuzz wall ms: %.1f (%.0f execs/sec)\n", fuzz_wall_ms, execs_per_sec);
-    out += StrFormat("fuzz workers: spawned %llu, lost %llu, salvaged %llu execs\n",
-                     static_cast<unsigned long long>(fuzz_workers_spawned),
-                     static_cast<unsigned long long>(fuzz_workers_lost),
-                     static_cast<unsigned long long>(fuzz_execs_salvaged));
     if (corpus_load_errors != 0) {
       out += StrFormat("corpus load errors: %llu (torn tail dropped)\n",
                        static_cast<unsigned long long>(corpus_load_errors));
@@ -322,7 +103,7 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
   result.fuzz_config = config.fuzz;
 
   // Phase 1: the exhaustive symbolic campaign, untouched (the CLI routes it
-  // through the process fleet via run_campaign).
+  // through the process fleet via run_campaign when asked for workers).
   Result<FaultCampaignResult> campaign =
       config.run_campaign ? config.run_campaign()
                           : RunFaultCampaign(config.campaign, image, descriptor);
@@ -417,9 +198,7 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
     }
 
     std::vector<FuzzExecResult> exec_results =
-        config.fuzz.workers > 0
-            ? ExecuteBatchWorkers(executor, inputs, config.fuzz.workers, &result)
-            : ExecuteBatchThreads(executor, inputs, config.campaign.threads);
+        ExecuteBatchThreads(executor, inputs, config.campaign.threads);
 
     // Merge strictly in exec-index order — the determinism hinge.
     for (size_t i = 0; i < inputs.size(); ++i) {

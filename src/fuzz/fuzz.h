@@ -23,9 +23,11 @@
 // Determinism contract: for a fixed --fuzz-seed the mutation streams are
 // SplitMix64 functions of (seed, batch, exec); execution results merge in
 // exec-index order; so the corpus, its fingerprint, the fuzz bug set, and the
-// deterministic report are byte-identical at any thread count and any worker
-// count — the same contract the campaign supervisor gives, extended to the
-// fuzz plane. A resumed run continues the persisted corpus from its batch
+// deterministic report are byte-identical at any thread count, and whichever
+// transport (thread pool or process fleet) ran the phase-1 campaign — the
+// same contract the campaign supervisor gives, extended to the fuzz plane.
+// Concrete executions always run on the campaign's thread pool
+// (campaign.threads). A resumed run continues the persisted corpus from its batch
 // cursor (completed batches never re-execute; their counters and bug rows
 // belong to the run that did the work). With fuzzing off the campaign report
 // is untouched, byte for byte.
@@ -66,10 +68,6 @@ struct FuzzConfig {
   // symbolic exploration as concretization hints.
   bool promote = true;
   uint32_t max_promotions = 2;
-  // Fork-isolated shard workers for the concrete executions (fleet-style
-  // kFuzzExec frames; a dead worker's execs are salvaged inline). 0 = run
-  // in-process on campaign.threads.
-  uint32_t workers = 0;
 };
 
 struct FuzzCampaignConfig {
@@ -83,7 +81,7 @@ struct FuzzCampaignConfig {
 struct FuzzCampaignResult {
   FaultCampaignResult campaign;
   // The fuzz knobs this result was produced with (the report header prints
-  // the seed/batch shape; worker and thread counts deliberately excluded).
+  // the seed/batch shape).
   FuzzConfig fuzz_config;
   // Bugs only the fuzz plane found (deduplicated against the campaign's and
   // each other by the campaign's identity key). Round-tripped through bug_io,
@@ -106,7 +104,7 @@ struct FuzzCampaignResult {
 
   uint64_t promotions = 0;
   // Blocks the promoted symbolic passes covered beyond seed-pass coverage
-  // plus the whole corpus (worker/thread independent by construction).
+  // plus the whole corpus (thread independent by construction).
   uint64_t promotion_novel_blocks = 0;
   // Union of the promoted passes' coverage (for tests comparing against an
   // exhaustive campaign's own coverage).
@@ -115,9 +113,6 @@ struct FuzzCampaignResult {
   // Volatile (never in the deterministic report).
   double fuzz_wall_ms = 0;
   double execs_per_sec = 0;
-  uint64_t fuzz_workers_spawned = 0;
-  uint64_t fuzz_workers_lost = 0;
-  uint64_t fuzz_execs_salvaged = 0;
   uint64_t corpus_load_errors = 0;
 
   // Campaign report plus a "--- fuzz ---" section; same volatility split as

@@ -3,6 +3,9 @@
 // SIGKILLed workers (salvage + lease reassignment), duplicate RESULT frames,
 // worker recycling, and resume — and a worker whose HELLO fingerprint does
 // not match is rejected (operator error), never quarantined (pass error).
+// Both transports share one campaign schedule: a resumed journal that no
+// longer matches it is rejected by each, and the fleet publishes the same
+// store-level shared-cache metrics as the in-process scheduler.
 // Plus wire-protocol units: framing round-trip, incremental decode, CRC and
 // truncation detection.
 #include "src/fleet/fleet.h"
@@ -10,9 +13,13 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/core/campaign_exec.h"
+#include "src/core/campaign_journal.h"
 #include "src/drivers/corpus.h"
 #include "src/fleet/wire.h"
 #include "src/support/strings.h"
@@ -330,6 +337,70 @@ TEST(FleetCampaignTest, CoordinatorJournalResumesWithoutReleasing) {
   ASSERT_TRUE(second.ok()) << second.status().message();
   EXPECT_EQ(second.value().FormatReport(driver.name, false), ReferenceReport());
   EXPECT_EQ(second.value().passes_loaded, second.value().passes.size());
+}
+
+TEST(FleetCampaignTest, ResumeRejectsJournalThatDoesNotMatchTheSchedule) {
+  const CorpusDriver& driver = CorpusDriverByName("rtl8029");
+  std::string journal = testing::TempDir() + "fleet_schedule_mismatch.journal";
+  FaultCampaignConfig config = TestConfig();
+  config.journal_path = journal;
+  Result<FaultCampaignResult> first = RunFaultCampaign(config, driver.image, driver.pci);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+
+  // Relabel restored pass 1 and rewrite the journal through the journal API,
+  // so every CRC is valid and only the schedule check can object.
+  uint64_t fingerprint = CampaignFingerprint(config, driver.image);
+  Result<std::vector<CampaignPassRecord>> records =
+      LoadCampaignJournalRecords(journal, driver.image.name, fingerprint);
+  ASSERT_TRUE(records.ok()) << records.status().message();
+  Result<std::unique_ptr<CampaignJournal>> rewritten =
+      CampaignJournal::Create(journal, driver.image.name, fingerprint);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().message();
+  bool relabeled = false;
+  for (CampaignPassRecord& rec : records.value()) {
+    if (rec.index == 1) {
+      rec.label = "tampered#0";
+      relabeled = true;
+    }
+    ASSERT_TRUE(rewritten.value()->Append(rec).ok());
+  }
+  ASSERT_TRUE(relabeled);
+  rewritten.value().reset();
+
+  config.resume = true;
+  Result<FaultCampaignResult> in_process = RunFaultCampaign(config, driver.image, driver.pci);
+  ASSERT_FALSE(in_process.ok());
+  EXPECT_NE(in_process.status().message().find("does not match the campaign schedule"),
+            std::string::npos)
+      << in_process.status().message();
+  Result<FaultCampaignResult> fleet = RunFleetCampaign(config, driver.image, driver.pci,
+                                                       TestFleet("schedule_mismatch", 2));
+  ASSERT_FALSE(fleet.ok());
+  EXPECT_NE(fleet.status().message().find("does not match the campaign schedule"),
+            std::string::npos)
+      << fleet.status().message();
+}
+
+TEST(FleetCampaignTest, PublishesSharedCacheStoreMetricsLikeInProcess) {
+  const CorpusDriver& driver = CorpusDriverByName("rtl8029");
+  FaultCampaignConfig config = TestConfig();
+  config.collect_metrics = true;
+  config.shared_cache_path = testing::TempDir() + "fleet_metrics_cache.bin";
+  std::remove(config.shared_cache_path.c_str());
+  Result<FaultCampaignResult> r =
+      RunFleetCampaign(config, driver.image, driver.pci, TestFleet("metrics", 2));
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_EQ(r.value().FormatReport(driver.name, false), ReferenceReport());
+  const obs::MetricsSnapshot& metrics = r.value().metrics;
+  auto entries = metrics.gauges.find("solver.shared_cache.entries");
+  ASSERT_NE(entries, metrics.gauges.end());
+  EXPECT_GT(entries->second.value, 0);
+  EXPECT_EQ(static_cast<uint64_t>(entries->second.value), r.value().shared_cache_entries);
+  EXPECT_NE(metrics.gauges.find("solver.shared_cache.bytes"), metrics.gauges.end());
+  auto saved = metrics.counters.find("solver.shared_cache.saved_entries");
+  ASSERT_NE(saved, metrics.counters.end());
+  EXPECT_GT(saved->second, 0u);
+  std::remove(config.shared_cache_path.c_str());
 }
 
 }  // namespace

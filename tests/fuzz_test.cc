@@ -1,12 +1,13 @@
 // The hybrid concolic fuzz loop (src/fuzz): input serialization, deterministic
 // mutation, coverage-novelty corpus admission and persistence, the concrete
-// executor's seed round-trip, report determinism across thread and worker
-// counts, the latent-bug acceptance path (a bug only the fuzz plane finds,
+// executor's seed round-trip, report determinism across thread counts and
+// the process fleet, the latent-bug acceptance path (a bug only the fuzz plane finds,
 // with a replayable evidence file), and promotion driving symbolic passes into
 // blocks the capped exploration alone never covered.
 #include "src/fuzz/fuzz.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <string>
@@ -15,6 +16,7 @@
 #include "src/core/bug_io.h"
 #include "src/core/replay.h"
 #include "src/drivers/corpus.h"
+#include "src/fleet/fleet.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/executor.h"
 #include "src/fuzz/input.h"
@@ -225,8 +227,8 @@ TEST(FuzzExecutorTest, SerializedSeedRoundTripReplaysIdentically) {
 }
 
 // The full contract: for one fuzz seed the deterministic report is
-// byte-identical in-process at 1 and 4 threads and across 3 fork-isolated
-// shard workers.
+// byte-identical in-process at 1 and 4 threads and with the phase-1 campaign
+// run across 3 fork-mode fleet worker processes.
 TEST(FuzzCampaignTest, ReportByteIdenticalAcrossThreadAndWorkerCounts) {
   const CorpusDriver& rtl = CorpusDriverByName("rtl8029");
 
@@ -240,7 +242,14 @@ TEST(FuzzCampaignTest, ReportByteIdenticalAcrossThreadAndWorkerCounts) {
   ASSERT_TRUE(r4.ok()) << r4.status().message();
 
   FuzzCampaignConfig w3 = SmallConfig();
-  w3.fuzz.workers = 3;
+  std::string shard_dir = testing::TempDir() + "fuzz_fleet_w3";
+  ::mkdir(shard_dir.c_str(), 0755);
+  w3.run_campaign = [&w3, &rtl, &shard_dir] {
+    fleet::FleetCampaignConfig fleet;
+    fleet.workers = 3;
+    fleet.shard_dir = shard_dir;
+    return fleet::RunFleetCampaign(w3.campaign, rtl.image, rtl.pci, fleet);
+  };
   Result<FuzzCampaignResult> rw = RunFuzzCampaign(w3, rtl.image, rtl.pci);
   ASSERT_TRUE(rw.ok()) << rw.status().message();
 
@@ -249,7 +258,7 @@ TEST(FuzzCampaignTest, ReportByteIdenticalAcrossThreadAndWorkerCounts) {
   EXPECT_GT(r1.value().corpus_entries, 0u);
   EXPECT_EQ(report1, r4.value().FormatReport(rtl.name, /*include_volatile=*/false));
   EXPECT_EQ(report1, rw.value().FormatReport(rtl.name, /*include_volatile=*/false));
-  EXPECT_GT(rw.value().fuzz_workers_spawned, 0u);
+  EXPECT_TRUE(rw.value().campaign.fleet_mode);
 }
 
 // Acceptance: the campaign (DMA checker off, its shipping default here) never
