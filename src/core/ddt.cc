@@ -42,6 +42,11 @@ std::map<std::string, uint32_t> Ddt::DefaultRegistry() {
 }
 
 Result<DdtResult> Ddt::TestDriver(const DriverImage& image, const PciDescriptor& descriptor) {
+  return TestDriver(PrepareImage(image), descriptor);
+}
+
+Result<DdtResult> Ddt::TestDriver(std::shared_ptr<const PreparedImage> prepared,
+                                  const PciDescriptor& descriptor) {
   DDT_CHECK_MSG(!ran_, "one Ddt instance tests one driver");
   ran_ = true;
 
@@ -77,14 +82,14 @@ Result<DdtResult> Ddt::TestDriver(const DriverImage& image, const PciDescriptor&
 
   std::vector<WorkloadStep> workload =
       config_.workload.has_value() ? *config_.workload
-                                   : BuildWorkload(DriverClassFor(image.name));
+                                   : BuildWorkload(DriverClassFor(prepared->image.name));
   engine_->SetWorkload(std::move(workload));
 
   if (device_override_ != nullptr) {
     engine_->SetDevice(std::move(device_override_));
   }
 
-  Status status = engine_->LoadDriver(image, descriptor);
+  Status status = engine_->LoadDriver(std::move(prepared), descriptor);
   if (!status.ok()) {
     return status;
   }

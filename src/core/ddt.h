@@ -87,6 +87,11 @@ class Ddt {
   // Loads and exercises the driver; returns the bug report. One Ddt instance
   // tests one driver (make a new instance per driver).
   Result<DdtResult> TestDriver(const DriverImage& image, const PciDescriptor& descriptor);
+  // The same run from a load template (src/engine/prepared_image.h) that
+  // many instances may share: repeated runs over one image skip the load.
+  // TestDriver(image, ...) is exactly TestDriver(PrepareImage(image), ...).
+  Result<DdtResult> TestDriver(std::shared_ptr<const PreparedImage> prepared,
+                               const PciDescriptor& descriptor);
 
   // The underlying engine (valid after TestDriver; exposes coverage, cfg...).
   Engine& engine();

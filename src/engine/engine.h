@@ -20,7 +20,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -30,6 +29,7 @@
 #include "src/engine/execution_state.h"
 #include "src/engine/fault_injection.h"
 #include "src/engine/pathctl.h"
+#include "src/engine/prepared_image.h"
 #include "src/engine/searcher.h"
 #include "src/hw/pci.h"
 #include "src/kernel/exerciser.h"
@@ -241,8 +241,16 @@ class Engine : public CheckerHost, private BlockCountOracle {
   void SetDevice(std::unique_ptr<DeviceModel> device) { device_proto_ = std::move(device); }
 
   // Loads the driver image behind the PCI shell and prepares the initial
-  // state (but does not run). Fails on unresolvable imports or a bad image.
+  // state (but does not run). Fails on a zero budget in the config, then on
+  // unresolvable imports or a bad image, in that order. Prepares the image
+  // and instantiates it; one implementation behind both overloads.
   Status LoadDriver(const DriverImage& image, const PciDescriptor& descriptor);
+  // Instantiates a run from a load template (src/engine/prepared_image.h):
+  // the initial state's memory shares the template's root copy-on-write, and
+  // the checkers, device, kernel state, registry and workload start fresh.
+  // The engine keeps `prepared` alive for its own lifetime.
+  Status LoadDriver(std::shared_ptr<const PreparedImage> prepared,
+                    const PciDescriptor& descriptor);
 
   // Explores until budgets are exhausted or every state terminated.
   void Run();
@@ -258,7 +266,7 @@ class Engine : public CheckerHost, private BlockCountOracle {
   const EngineStats& stats() const { return stats_; }
   const std::vector<CoverageSample>& coverage_samples() const { return coverage_samples_; }
   size_t covered_blocks() const { return covered_blocks_.size(); }
-  size_t total_blocks() const { return cfg_.NumBlocks(); }
+  size_t total_blocks() const { return cfg().NumBlocks(); }
   const std::unordered_set<uint32_t>& covered_block_leaders() const { return covered_blocks_; }
   // Covered block leaders as a dense instruction-slot bitmap (the stable
   // coverage-novelty API; see src/vm/coverage_map.h). Slot i = the aligned
@@ -266,8 +274,9 @@ class Engine : public CheckerHost, private BlockCountOracle {
   CoverageBitmap CoverageSnapshot() const;
   // Path seeds collected this run (empty unless config.max_path_seeds > 0).
   const std::vector<PathSeed>& path_seeds() const { return path_seeds_; }
-  const Cfg& cfg() const { return cfg_; }
-  const LoadedDriver& loaded_driver() const { return loaded_; }
+  // Load products; valid after a successful LoadDriver.
+  const Cfg& cfg() const { return prepared_->cfg; }
+  const LoadedDriver& loaded_driver() const { return prepared_->loaded; }
   const MemStats& mem_stats() const { return mem_stats_; }
   // The decoded-block translation cache; null when enable_block_cache is off
   // or LoadDriver has not run.
@@ -409,17 +418,13 @@ class Engine : public CheckerHost, private BlockCountOracle {
   Solver solver_;
   Rng rng_;
 
-  // Driver under test.
-  DriverImage image_;
-  LoadedDriver loaded_;
+  // Driver under test: the shared load template (image bytes, layout,
+  // import table, CFG and block-leader index) plus this run's PCI shell.
+  std::shared_ptr<const PreparedImage> prepared_;
   PciDescriptor pci_;
-  Cfg cfg_;
-  // Decode-once translation cache over the immutable code segment, plus a
-  // dense leader bitmap (one slot per aligned instruction) replacing the
-  // per-instruction std::map lookup on the coverage path.
+  // Decode-once translation cache over the immutable code segment. Private to
+  // this run: decoding is cheap, and sharing it would need cross-thread state.
   std::unique_ptr<BlockCache> block_cache_;
-  std::vector<uint8_t> block_leader_slots_;
-  std::vector<KernelApiFn> import_table_;  // resolved import handlers
   std::map<std::string, uint32_t> registry_;
   std::vector<WorkloadStep> workload_;
   std::unique_ptr<DeviceModel> device_proto_;
@@ -447,7 +452,8 @@ class Engine : public CheckerHost, private BlockCountOracle {
   std::vector<PathSeed> path_seeds_;
 
   // Coverage.
-  std::unordered_map<uint32_t, uint64_t> block_counts_;  // leader -> executions
+  // Executions per block leader, indexed by instruction slot.
+  std::vector<uint64_t> block_counts_;
   std::unordered_set<uint32_t> covered_blocks_;
   std::vector<CoverageSample> coverage_samples_;
 

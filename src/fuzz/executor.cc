@@ -29,7 +29,7 @@ FuzzExecResult FuzzExecutor::Execute(const FuzzInput& input) const {
   try {
     ScopedCheckTrap trap;
     Ddt ddt(config);
-    Result<DdtResult> run = ddt.TestDriver(image_, descriptor_);
+    Result<DdtResult> run = ddt.TestDriver(prepared_, descriptor_);
     if (!run.ok()) {
       result.failure = run.status().message();
       return result;

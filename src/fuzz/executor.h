@@ -1,9 +1,14 @@
 // Concrete fuzz executor: replays one FuzzInput down the pure fast path.
 //
-// Each execution is a fresh Ddt instance in guided mode — every symbolic
-// value resolves immediately from the input's field map, no forking, no
-// solver — with the block-cached interpreter carrying the concrete path, so
-// throughput is execs/sec, not paths/hour. All dynamic checkers stay live,
+// The executor prepares the driver image once, in its constructor, into an
+// immutable load template (src/engine/prepared_image.h): loaded layout,
+// resolved imports, CFG and a guest-memory root with the image installed.
+// Each execution is a fresh Ddt instance instantiated from that template in
+// guided mode — every symbolic value resolves immediately from the input's
+// field map, no forking, no solver — with the block-cached interpreter
+// carrying the concrete path, so throughput is execs/sec, not paths/hour.
+// The template is the AFL fork-server idea: an exec pays for running the
+// driver, not for re-loading it. All dynamic checkers stay live,
 // including the Checkbochs-style DMA checker (always on here: a fuzz run
 // exists to find real bugs, and its reports cannot perturb a baseline the way
 // they would in a campaign pass), so a crashing mutant produces a full
@@ -15,6 +20,7 @@
 #define SRC_FUZZ_EXECUTOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/core/ddt.h"
@@ -39,14 +45,17 @@ class FuzzExecutor {
  public:
   FuzzExecutor(const FaultCampaignConfig& campaign, const DriverImage& image,
                const PciDescriptor& descriptor)
-      : campaign_(campaign), image_(image), descriptor_(descriptor) {}
+      : campaign_(campaign), prepared_(PrepareImage(image)), descriptor_(descriptor) {}
 
-  // Thread-safe: each call builds an independent Ddt instance.
+  // Thread-safe: each call builds an independent Ddt instance; the shared
+  // load template is only read, and every run writes through its own
+  // copy-on-write memory handle. A load failure (bad import, oversized
+  // image) is reported by every call, exactly as a one-shot TestDriver would.
   FuzzExecResult Execute(const FuzzInput& input) const;
 
  private:
   const FaultCampaignConfig& campaign_;
-  const DriverImage& image_;
+  const std::shared_ptr<const PreparedImage> prepared_;
   const PciDescriptor& descriptor_;
 };
 

@@ -3,7 +3,7 @@
 namespace ddt {
 
 BlockCache::BlockCache(const uint8_t* code, size_t size, uint32_t base)
-    : code_(code, code + size), base_(base) {
+    : code_(code), base_(base) {
   size_t slots = size / kInstructionSize;
   insns_.resize(slots);
   slot_state_.assign(slots, kUnknown);
@@ -28,7 +28,7 @@ void BlockCache::DecodeBlockFrom(size_t slot) {
   for (size_t cursor = slot; cursor < slot_state_.size() && slot_state_[cursor] == kUnknown;
        ++cursor) {
     std::optional<Instruction> decoded =
-        DecodeInstruction(code_.data() + cursor * kInstructionSize);
+        DecodeInstruction(code_ + cursor * kInstructionSize);
     if (!decoded.has_value()) {
       slot_state_[cursor] = kInvalid;
       return;

@@ -41,8 +41,8 @@ class BlockCache {
     uint64_t fallback_fetches = 0;
   };
 
-  // Snapshots the (immutable) code bytes. `base` is the guest address of
-  // code[0].
+  // Decodes from the (immutable) code bytes in place; they must outlive the
+  // cache. `base` is the guest address of code[0].
   BlockCache(const uint8_t* code, size_t size, uint32_t base);
 
   // Fetches the decoded instruction at `pc`, decoding the enclosing
@@ -70,7 +70,7 @@ class BlockCache {
   // region, or the end of the code segment.
   void DecodeBlockFrom(size_t slot);
 
-  std::vector<uint8_t> code_;  // private snapshot; immutability enforced upstream
+  const uint8_t* code_ = nullptr;  // borrowed; immutability enforced upstream
   uint32_t base_ = 0;
   std::vector<Instruction> insns_;      // dense, one per slot
   std::vector<uint8_t> slot_state_;     // SlotState per slot

@@ -1,22 +1,38 @@
 #include "src/vm/guest_memory.h"
 
+#include <algorithm>
+
 #include "src/support/check.h"
 #include "src/vm/layout.h"
 
 namespace ddt {
 
-GuestMemory::GuestMemory() : root_(std::make_shared<Root>()) {}
+GuestMemory::GuestMemory(std::shared_ptr<Root> root, MemStats* stats, uint64_t access_count,
+                         bool eager_fork)
+    : root_(std::move(root)),
+      stats_(stats),
+      access_count_(access_count),
+      eager_fork_(eager_fork),
+      root_shared_(true) {}
 
 void GuestMemory::InitWrite(uint32_t addr, const uint8_t* data, size_t len) {
-  DDT_CHECK_MSG(!forked_, "InitWrite after first fork");
-  for (size_t i = 0; i < len; ++i) {
-    uint32_t a = addr + static_cast<uint32_t>(i);
-    uint32_t page = a / kPageSize;
-    auto& bytes = root_->pages[page];
+  DDT_CHECK_MSG(!root_shared_ && (root_ == nullptr || root_.use_count() == 1),
+                "InitWrite on a shared root");
+  if (root_ == nullptr) {
+    root_ = std::make_shared<Root>();
+  }
+  // One page lookup per page, not per byte.
+  size_t done = 0;
+  while (done < len) {
+    uint32_t a = addr + static_cast<uint32_t>(done);
+    size_t offset = a % kPageSize;
+    size_t chunk = std::min(len - done, kPageSize - offset);
+    auto& bytes = root_->pages[a / kPageSize];
     if (bytes.empty()) {
       bytes.resize(kPageSize, 0);
     }
-    bytes[a % kPageSize] = data[i];
+    std::copy(data + done, data + done + chunk, bytes.begin() + static_cast<ptrdiff_t>(offset));
+    done += chunk;
   }
 }
 
@@ -33,9 +49,11 @@ MemByte GuestMemory::Resolve(uint32_t addr, bool* walked_chain) const {
       return nit->second;
     }
   }
-  auto pit = root_->pages.find(addr / kPageSize);
-  if (pit != root_->pages.end()) {
-    return MemByte::Concrete(pit->second[addr % kPageSize]);
+  if (root_ != nullptr) {
+    auto pit = root_->pages.find(addr / kPageSize);
+    if (pit != root_->pages.end()) {
+      return MemByte::Concrete(pit->second[addr % kPageSize]);
+    }
   }
   return MemByte::Concrete(0);
 }
@@ -116,14 +134,8 @@ GuestMemory GuestMemory::Fork() {
   if (stats_ != nullptr) {
     ++stats_->forks;
   }
-  forked_ = true;
-
-  GuestMemory child;
-  child.root_ = root_;
-  child.stats_ = stats_;
-  child.access_count_ = access_count_;
-  child.eager_fork_ = eager_fork_;
-  child.forked_ = true;
+  root_shared_ = true;
+  GuestMemory child(root_, stats_, access_count_, eager_fork_);
 
   if (eager_fork_) {
     // Ablation mode: the child receives a full deep copy of the merged
@@ -148,6 +160,14 @@ GuestMemory GuestMemory::Fork() {
   CompactIfDeep();
   child.CompactIfDeep();
   return child;
+}
+
+GuestMemory GuestMemory::Share() const {
+  GuestMemory handle(root_, stats_, access_count_, eager_fork_);
+  handle.parent_ = parent_;
+  handle.delta_ = delta_;
+  handle.read_cache_ = read_cache_;
+  return handle;
 }
 
 size_t GuestMemory::ChainDepth() const {

@@ -4,6 +4,9 @@
 // top of a chain of frozen parent deltas, bottoming out in a shared root that
 // holds the initial image pages. Forking freezes the current delta and hands
 // both siblings fresh empty deltas — O(1) instead of copying the full state.
+// A load template (src/engine/prepared_image.h) keeps one handle whose root
+// holds a driver image and hands each run a new handle over that root
+// (Share), so the image is installed once, not once per run.
 // Reads that miss the local delta walk the chain and are cached in the leaf,
 // exactly the paper's "cache each resolved read in the leaf state"
 // optimization.
@@ -47,14 +50,15 @@ struct MemStats {
 
 class GuestMemory {
  public:
-  GuestMemory();
+  GuestMemory() = default;
   GuestMemory(GuestMemory&&) = default;
   GuestMemory& operator=(GuestMemory&&) = default;
   GuestMemory(const GuestMemory&) = delete;
   GuestMemory& operator=(const GuestMemory&) = delete;
 
-  // Installs initial image bytes into the shared root. Only valid before the
-  // first fork (the root is shared afterwards).
+  // Installs initial image bytes into the root. Only valid on a handle that
+  // owns its root alone: never after a fork, on a handle made by Share, or on
+  // a handle whose root has been shared.
   void InitWrite(uint32_t addr, const uint8_t* data, size_t len);
 
   MemByte ReadByte(uint32_t addr);
@@ -69,6 +73,12 @@ class GuestMemory {
   // Forks this memory: freezes the current delta; both `this` and the
   // returned sibling continue with empty deltas over the shared chain.
   GuestMemory Fork();
+
+  // A new copy-on-write handle over this handle's root and frozen chain, with
+  // this handle's delta copied in: it reads exactly what this handle reads,
+  // and writes through either stay private to it. Leaves this handle
+  // untouched, so any number of threads may share one const template.
+  GuestMemory Share() const;
 
   size_t ChainDepth() const;
   size_t DeltaSize() const { return delta_.size(); }
@@ -90,20 +100,23 @@ class GuestMemory {
     std::unordered_map<uint32_t, std::vector<uint8_t>> pages;
   };
 
+  GuestMemory(std::shared_ptr<Root> root, MemStats* stats, uint64_t access_count,
+              bool eager_fork);
+
   // Resolves a byte by walking delta -> chain -> root.
   MemByte Resolve(uint32_t addr, bool* walked_chain) const;
   // Merges chain + delta into a single flat map (for eager mode/compaction).
   std::unordered_map<uint32_t, MemByte> MergedWrites() const;
   void CompactIfDeep();
 
-  std::shared_ptr<Root> root_;
+  std::shared_ptr<Root> root_;  // created by the first InitWrite; null = all zero
   std::shared_ptr<const Node> parent_;  // frozen chain (may be null)
   std::unordered_map<uint32_t, MemByte> delta_;
   std::unordered_map<uint32_t, MemByte> read_cache_;
   MemStats* stats_ = nullptr;
   uint64_t access_count_ = 0;
   bool eager_fork_ = false;
-  bool forked_ = false;
+  bool root_shared_ = false;  // forked or made by Share: InitWrite is refused
 
   static constexpr size_t kCompactionDepth = 96;
 };

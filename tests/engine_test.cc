@@ -9,6 +9,7 @@
 #include "src/core/ddt.h"
 #include "src/core/replay.h"
 #include "src/vm/assembler.h"
+#include "src/vm/layout.h"
 
 namespace ddt {
 namespace {
@@ -603,6 +604,37 @@ TEST(EngineTest, ZeroBudgetsAreRejectedAtLoad) {
   DdtConfig zero_wall;
   zero_wall.engine.max_wall_ms = 0;
   expect_rejected(zero_wall, "max_wall_ms");
+}
+
+// A load failure reads the same whether the image is prepared inside
+// TestDriver or up front, and a config error still wins over an image error.
+TEST(EngineTest, LoadErrorsMatchAcrossTestDriverOverloads) {
+  auto message_of = [](const DdtConfig& config, const DriverImage& image, bool prepared) {
+    Ddt ddt(config);
+    Result<DdtResult> result = prepared ? ddt.TestDriver(PrepareImage(image), ToyPci())
+                                        : ddt.TestDriver(image, ToyPci());
+    return result.ok() ? std::string("ok") : result.status().message();
+  };
+  DriverImage bad_import = AssembleToy(kCleanDriver);
+  bad_import.imports.push_back("MosNoSuchApi");
+  DriverImage oversized = AssembleToy(kCleanDriver);
+  oversized.code.resize(kDriverImageLimit - kDriverImageBase + kInstructionSize);
+  DdtConfig zero_states;
+  zero_states.engine.max_states = 0;
+  struct Case {
+    DdtConfig config;
+    const DriverImage* image;
+    std::string expected;
+  };
+  const std::vector<Case> cases = {
+      {DdtConfig(), &bad_import, "unresolved driver import: MosNoSuchApi"},
+      {DdtConfig(), &oversized, "driver image too large for the image window"},
+      {zero_states, &bad_import, "EngineConfig.max_states must be nonzero"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(message_of(c.config, *c.image, /*prepared=*/false), c.expected);
+    EXPECT_EQ(message_of(c.config, *c.image, /*prepared=*/true), c.expected);
+  }
 }
 
 // --- 14. Resource governor ----------------------------------------------------

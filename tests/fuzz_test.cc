@@ -1,16 +1,20 @@
 // The hybrid concolic fuzz loop (src/fuzz): input serialization, deterministic
 // mutation, coverage-novelty corpus admission and persistence, the concrete
-// executor's seed round-trip, report determinism across thread counts and
-// the process fleet, the latent-bug acceptance path (a bug only the fuzz plane finds,
-// with a replayable evidence file), and promotion driving symbolic passes into
-// blocks the capped exploration alone never covered.
+// executor's seed round-trip, parity of its load-template execs with one-shot
+// runs (interleaved and from four threads), report determinism across thread
+// counts and the process fleet, the latent-bug acceptance path (a bug only the
+// fuzz plane finds, with a replayable evidence file), and promotion driving
+// symbolic passes into blocks the capped exploration alone never covered.
 #include "src/fuzz/fuzz.h"
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/bug_io.h"
@@ -224,6 +228,152 @@ TEST(FuzzExecutorTest, SerializedSeedRoundTripReplaysIdentically) {
   EXPECT_EQ(first.coverage.Fingerprint(), second.coverage.Fingerprint());
   EXPECT_EQ(first.instructions, second.instructions);
   EXPECT_EQ(first.bugs_text, second.bugs_text);
+}
+
+// --- Executor parity: the shared load template leaks nothing between execs ---
+
+// Every solver-derived seed of `driver` plus one mutant of each.
+std::vector<FuzzInput> SeedsAndMutants(const CorpusDriver& driver, const DdtConfig& base) {
+  DdtConfig seed_config = base;
+  seed_config.engine.max_path_seeds = 8;
+  Ddt ddt(seed_config);
+  Result<DdtResult> run = ddt.TestDriver(driver.image, driver.pci);
+  EXPECT_TRUE(run.ok()) << run.status().message();
+  std::vector<FuzzInput> inputs;
+  if (!run.ok()) {
+    return inputs;
+  }
+  for (size_t i = 0; i < run.value().path_seeds.size(); ++i) {
+    inputs.push_back(FromPathSeed(run.value().path_seeds[i], seed_config.engine.fault_plan,
+                                  StrFormat("seed#%zu", i)));
+  }
+  EXPECT_FALSE(inputs.empty()) << driver.name;
+  size_t seeds = inputs.size();
+  for (size_t i = 0; i < seeds; ++i) {
+    SplitMix64 rng = SplitMix64(0x5EED).Fork(i);
+    inputs.push_back(MutateInput(inputs[i], rng, /*counts=*/nullptr));
+  }
+  return inputs;
+}
+
+// What a one-shot guided Ddt::TestDriver(image, ...) under the executor's
+// configuration reports for `input`, in FuzzExecResult form.
+FuzzExecResult OneShot(const FaultCampaignConfig& campaign, const CorpusDriver& driver,
+                       const FuzzInput& input) {
+  DdtConfig config = campaign.base;
+  config.engine.guided = true;
+  config.engine.guided_inputs = GuidedInputs(input);
+  config.engine.forced_interrupt_schedule = input.interrupt_schedule;
+  config.engine.forced_alternatives = input.alternatives;
+  config.engine.enable_symbolic_interrupts = false;
+  config.engine.fault_plan = input.fault_plan;
+  config.engine.max_states = 4;
+  config.engine.stop_after_first_bug = false;
+  config.engine.max_path_seeds = 0;
+  config.dma_checker = true;
+  FuzzExecResult result;
+  Ddt ddt(config);
+  Result<DdtResult> run = ddt.TestDriver(driver.image, driver.pci);
+  if (!run.ok()) {
+    result.failure = run.status().message();
+    return result;
+  }
+  std::vector<Bug> bugs = run.value().bugs;
+  for (Bug& bug : bugs) {
+    if (bug.inputs.empty()) {
+      bug.inputs = ToSolvedInputs(input);
+    }
+  }
+  if (!bugs.empty()) {
+    result.bugs_text = SerializeBugs(bugs);
+  }
+  result.coverage = ddt.engine().CoverageSnapshot();
+  result.instructions = run.value().stats.instructions;
+  result.ok = true;
+  return result;
+}
+
+void ExpectSameExec(const FuzzExecResult& got, const FuzzExecResult& want,
+                    const std::string& what) {
+  EXPECT_EQ(got.ok, want.ok) << what << ": " << got.failure;
+  EXPECT_EQ(got.failure, want.failure) << what;
+  EXPECT_EQ(got.coverage.ToHex(), want.coverage.ToHex()) << what;
+  EXPECT_EQ(got.bugs_text, want.bugs_text) << what;
+  EXPECT_EQ(got.instructions, want.instructions) << what;
+}
+
+TEST(FuzzExecutorTest, TemplateExecsMatchOneShotTestDriver) {
+  FaultCampaignConfig campaign;
+  std::vector<const CorpusDriver*> drivers = {&CorpusDriverByName("rtl8029"),
+                                              &CorpusDriverByName("pcnet"),
+                                              &CorpusDriverByName("pro1000")};
+  std::vector<std::vector<FuzzInput>> inputs;
+  std::vector<std::vector<FuzzExecResult>> want;
+  std::vector<std::unique_ptr<FuzzExecutor>> executors;
+  size_t bugs_seen = 0;
+  for (const CorpusDriver* driver : drivers) {
+    inputs.push_back(SeedsAndMutants(*driver, campaign.base));
+    want.emplace_back();
+    for (const FuzzInput& input : inputs.back()) {
+      want.back().push_back(OneShot(campaign, *driver, input));
+      ASSERT_TRUE(want.back().back().ok) << want.back().back().failure;
+      bugs_seen += want.back().back().bugs_text.empty() ? 0 : 1;
+    }
+    executors.push_back(std::make_unique<FuzzExecutor>(campaign, driver->image, driver->pci));
+  }
+  EXPECT_GT(bugs_seen, 0u);  // the comparison covers bug evidence, not only clean runs
+  // Two rounds, interleaved across drivers, the second in reverse order: any
+  // state one exec left in the shared template would show in a later one.
+  for (int round = 0; round < 2; ++round) {
+    size_t longest = 0;
+    for (const auto& list : inputs) {
+      longest = std::max(longest, list.size());
+    }
+    for (size_t k = 0; k < longest; ++k) {
+      for (size_t d = 0; d < drivers.size(); ++d) {
+        if (k >= inputs[d].size()) {
+          continue;
+        }
+        size_t i = round == 0 ? k : inputs[d].size() - 1 - k;
+        ExpectSameExec(executors[d]->Execute(inputs[d][i]), want[d][i],
+                       StrFormat("%s input %zu round %d", drivers[d]->name.c_str(), i, round));
+      }
+    }
+  }
+}
+
+TEST(FuzzExecutorTest, ConcurrentExecsMatchSequentialRun) {
+  FaultCampaignConfig campaign;
+  const CorpusDriver& rtl = CorpusDriverByName("rtl8029");
+  std::vector<FuzzInput> inputs = SeedsAndMutants(rtl, campaign.base);
+  ASSERT_FALSE(inputs.empty());
+  FuzzExecutor executor(campaign, rtl.image, rtl.pci);
+  std::vector<FuzzExecResult> sequential;
+  for (const FuzzInput& input : inputs) {
+    sequential.push_back(executor.Execute(input));
+  }
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<FuzzExecResult>> results(kThreads,
+                                                   std::vector<FuzzExecResult>(inputs.size()));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&executor, &inputs, &results, t] {
+      // Each thread starts at a different input so the same input runs on
+      // several threads at once.
+      for (size_t k = 0; k < inputs.size(); ++k) {
+        size_t i = (k + t) % inputs.size();
+        results[t][i] = executor.Execute(inputs[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      ExpectSameExec(results[t][i], sequential[i], StrFormat("thread %zu input %zu", t, i));
+    }
+  }
 }
 
 // The full contract: for one fuzz seed the deterministic report is

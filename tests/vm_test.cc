@@ -1,11 +1,19 @@
 // Tests for the VM substrate: ISA encode/decode round-trips, the assembler,
-// DDF image serialization, CFG recovery, and chained-COW guest memory
-// semantics (including fork isolation and the eager ablation mode).
+// DDF image serialization, CFG recovery, chained-COW guest memory semantics
+// (including fork isolation, the eager ablation mode, and copy-on-write
+// handles over one shared load-template root), and the load template's dense
+// block-leader index against the CFG.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <thread>
+#include <vector>
 
+#include "src/drivers/corpus.h"
+#include "src/engine/prepared_image.h"
 #include "src/expr/expr.h"
+#include "src/support/check.h"
 #include "src/support/rng.h"
 #include "src/vm/assembler.h"
 #include "src/vm/disasm.h"
@@ -534,6 +542,161 @@ TEST(GuestMemoryTest, TryReadConcreteFailsOnSymbolic) {
   EXPECT_EQ(buf[2], 'c');
   mem.WriteByte(0x102, MemByte::Symbolic(ctx.Var(8, "s")));
   EXPECT_FALSE(mem.TryReadConcrete(0x100, buf, 4));
+}
+
+TEST(GuestMemoryTest, InitWriteAcrossPagesMatchesByteWiseModel) {
+  // Misaligned start, several page crossings, and an overlapping second
+  // write: every byte must read back as a byte-at-a-time install would.
+  std::vector<uint8_t> data(3 * kPageSize + 123);
+  Rng rng(99);
+  for (uint8_t& b : data) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  const uint32_t addr = 5 * kPageSize - 77;
+  std::map<uint32_t, uint8_t> reference;
+  GuestMemory mem;
+  mem.InitWrite(addr, data.data(), data.size());
+  for (size_t i = 0; i < data.size(); ++i) {
+    reference[addr + static_cast<uint32_t>(i)] = data[i];
+  }
+  const uint32_t addr2 = 6 * kPageSize + 4000;
+  mem.InitWrite(addr2, data.data(), 200);
+  for (size_t i = 0; i < 200; ++i) {
+    reference[addr2 + static_cast<uint32_t>(i)] = data[i];
+  }
+  for (uint32_t a = addr - 300; a < addr + data.size() + 300; ++a) {
+    auto it = reference.find(a);
+    ASSERT_EQ(mem.ReadByte(a).conc, it == reference.end() ? 0 : it->second) << a;
+  }
+}
+
+TEST(GuestMemoryTest, SharedRootRefusesInitWrite) {
+  GuestMemory tmpl;
+  uint8_t data[] = {1, 2, 3};
+  tmpl.InitWrite(0x10000, data, sizeof(data));
+  GuestMemory handle = tmpl.Share();
+  ScopedCheckTrap trap;
+  EXPECT_THROW(handle.InitWrite(0x10000, data, 1), CheckFailureError);
+  // The template's root is shared while any handle lives.
+  EXPECT_THROW(tmpl.InitWrite(0x20000, data, 1), CheckFailureError);
+  GuestMemory child = handle.Fork();
+  EXPECT_THROW(child.InitWrite(0x10000, data, 1), CheckFailureError);
+  EXPECT_EQ(child.ReadByte(0x10002).conc, 3);
+}
+
+TEST(GuestMemoryTest, SharedHandlesAreCopyOnWrite) {
+  GuestMemory tmpl;
+  uint8_t data[] = {10, 20, 30, 40};
+  tmpl.InitWrite(0x10000, data, sizeof(data));
+  const GuestMemory& frozen = tmpl;
+  GuestMemory a = frozen.Share();
+  GuestMemory b = frozen.Share();
+  a.WriteByte(0x10001, MemByte::Concrete(99));
+  b.WriteByte(0x10002, MemByte::Concrete(77));
+  a.WriteByte(0x30000, MemByte::Concrete(5));
+  EXPECT_EQ(a.ReadByte(0x10001).conc, 99);
+  EXPECT_EQ(a.ReadByte(0x10002).conc, 30);
+  EXPECT_EQ(b.ReadByte(0x10001).conc, 20);
+  EXPECT_EQ(b.ReadByte(0x10002).conc, 77);
+  EXPECT_EQ(b.ReadByte(0x30000).conc, 0);
+  EXPECT_EQ(tmpl.ReadByte(0x10001).conc, 20);
+  EXPECT_EQ(tmpl.ReadByte(0x10002).conc, 30);
+  EXPECT_EQ(tmpl.ReadByte(0x30000).conc, 0);
+  // A handle made after the writes still sees only the template.
+  GuestMemory c = frozen.Share();
+  EXPECT_EQ(c.ReadByte(0x10001).conc, 20);
+  EXPECT_EQ(c.ReadByte(0x10002).conc, 30);
+}
+
+TEST(GuestMemoryTest, HandlesOverOneRootFromManyThreads) {
+  std::vector<uint8_t> data(2 * kPageSize);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 7);
+  }
+  GuestMemory tmpl;
+  tmpl.InitWrite(0x10000, data.data(), data.size());
+  const GuestMemory& frozen = tmpl;
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&frozen, &data, &mismatches, t] {
+      for (int round = 0; round < 16; ++round) {
+        GuestMemory mem = frozen.Share();
+        for (size_t i = 0; i < data.size(); i += 11) {
+          uint32_t a = 0x10000 + static_cast<uint32_t>(i);
+          mem.WriteByte(a, MemByte::Concrete(static_cast<uint8_t>(t + round)));
+          GuestMemory fork = mem.Fork();
+          if (fork.ReadByte(a).conc != static_cast<uint8_t>(t + round) ||
+              mem.ReadByte(a + 1).conc != data[i + 1]) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(tmpl.ReadByte(0x10000 + static_cast<uint32_t>(i)).conc, data[i]);
+  }
+}
+
+// --- Load template ---------------------------------------------------------------
+
+void ExpectDenseLeadersMatchCfg(const PreparedImage& prepared) {
+  const uint32_t begin = prepared.loaded.code_begin;
+  const uint32_t end = prepared.loaded.code_end;
+  for (uint32_t addr = begin - 64; addr < end + 64; ++addr) {
+    ASSERT_EQ(prepared.BlockLeaderFor(addr), prepared.cfg.BlockLeaderFor(addr))
+        << prepared.image.name << " at 0x" << std::hex << addr;
+  }
+  for (uint32_t addr : {0u, 1u, begin - 1, end, 0x7FFFFFFFu, 0xFFFFFFF8u, 0xFFFFFFFFu}) {
+    ASSERT_EQ(prepared.BlockLeaderFor(addr), prepared.cfg.BlockLeaderFor(addr))
+        << prepared.image.name << " at 0x" << std::hex << addr;
+  }
+  for (size_t slot = 0; slot < prepared.num_slots(); ++slot) {
+    uint32_t addr = begin + static_cast<uint32_t>(slot) * kInstructionSize;
+    ASSERT_EQ(prepared.IsLeaderSlot(slot), prepared.cfg.blocks.count(addr) != 0) << slot;
+  }
+}
+
+TEST(PreparedImageTest, DenseLeaderIndexMatchesCfgForEveryAddress) {
+  for (const CorpusDriver& driver : Corpus()) {
+    std::shared_ptr<const PreparedImage> prepared = PrepareImage(driver.image);
+    ASSERT_TRUE(prepared->status.ok()) << prepared->status.message();
+    EXPECT_TRUE(prepared->leaders_aligned) << driver.name;
+    ExpectDenseLeadersMatchCfg(*prepared);
+  }
+}
+
+TEST(PreparedImageTest, MisalignedLeadersAndPartialSlotsMatchCfg) {
+  // A hostile image: a branch into the middle of an instruction and a code
+  // segment that ends in a partial slot.
+  auto encode = [](std::vector<uint8_t>* code, Opcode op, uint32_t imm) {
+    Instruction insn;
+    insn.opcode = op;
+    insn.imm = imm;
+    uint8_t bytes[kInstructionSize];
+    EncodeInstruction(insn, bytes);
+    code->insert(code->end(), bytes, bytes + kInstructionSize);
+  };
+  for (bool misaligned : {false, true}) {
+    DriverImage image;
+    image.name = misaligned ? "hostile" : "partial";
+    uint32_t target = kDriverImageBase + 2 * kInstructionSize + (misaligned ? 3 : 0);
+    encode(&image.code, Opcode::kNop, 0);
+    encode(&image.code, Opcode::kBz, target);
+    encode(&image.code, Opcode::kNop, 0);
+    encode(&image.code, Opcode::kHalt, 0);
+    encode(&image.code, Opcode::kNop, 0);
+    image.code.resize(image.code.size() + 5, 0);
+    std::shared_ptr<const PreparedImage> prepared = PrepareImage(image);
+    ASSERT_TRUE(prepared->status.ok()) << prepared->status.message();
+    EXPECT_EQ(prepared->leaders_aligned, !misaligned);
+    ExpectDenseLeadersMatchCfg(*prepared);
+  }
 }
 
 // --- Disassembler ----------------------------------------------------------------
