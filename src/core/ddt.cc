@@ -94,6 +94,9 @@ Result<DdtResult> Ddt::TestDriver(std::shared_ptr<const PreparedImage> prepared,
     return status;
   }
   engine_->Run();
+  // Exploration is over. This Ddt may live on (a campaign keeps every pass's
+  // instance for its bug evidence); its solver's SAT scratch need not.
+  engine_->solver().ReleaseScratch();
 
   DdtResult result;
   result.bugs = engine_->bugs();

@@ -30,6 +30,30 @@ constexpr uint64_t kRestartBase = 256;
 
 SatSolver::SatSolver() = default;
 
+void SatSolver::Reset() {
+  for (size_t i = 0; i < 2 * assign_.size(); ++i) {
+    watches_[i].clear();
+  }
+  clauses_.clear();
+  lits_.clear();
+  assign_.clear();
+  saved_phase_.clear();
+  level_.clear();
+  reason_.clear();
+  trail_.clear();
+  trail_limits_.clear();
+  propagate_head_ = 0;
+  activity_.clear();
+  activity_inc_ = 1.0;
+  known_unsat_ = false;
+  hit_deadline_ = false;
+  hit_abort_ = false;
+  conflicts_ = 0;
+  decisions_ = 0;
+  propagations_ = 0;
+  seen_.clear();
+}
+
 uint32_t SatSolver::NewVar() {
   uint32_t var = static_cast<uint32_t>(assign_.size());
   assign_.push_back(kUndef);
@@ -38,26 +62,31 @@ uint32_t SatSolver::NewVar() {
   reason_.push_back(kNoReason);
   activity_.push_back(0.0);
   seen_.push_back(0);
-  watches_.emplace_back();
-  watches_.emplace_back();
+  if (watches_.size() < 2 * (static_cast<size_t>(var) + 1)) {
+    watches_.emplace_back();
+    watches_.emplace_back();
+  }
   return var;
 }
 
-bool SatSolver::AddClause(std::vector<SatLit> lits) {
+bool SatSolver::AddClause(std::span<const SatLit> lits) {
   if (known_unsat_) {
     return false;
   }
   DDT_CHECK_MSG(trail_limits_.empty(), "AddClause only at decision level 0");
   // Normalize: sort, dedupe, drop clauses with complementary pairs, drop
-  // false literals, and short-circuit on true literals.
-  std::sort(lits.begin(), lits.end());
-  std::vector<SatLit> cleaned;
-  for (size_t i = 0; i < lits.size(); ++i) {
-    SatLit lit = lits[i];
-    if (i + 1 < lits.size() && lits[i + 1] == NegateLit(lit)) {
+  // false literals, and short-circuit on true literals. Kept literals are
+  // compacted to the front of the scratch buffer in place.
+  std::vector<SatLit>& buf = clause_buf_;
+  buf.assign(lits.begin(), lits.end());
+  std::sort(buf.begin(), buf.end());
+  size_t kept = 0;
+  for (size_t i = 0; i < buf.size(); ++i) {
+    SatLit lit = buf[i];
+    if (i + 1 < buf.size() && buf[i + 1] == NegateLit(lit)) {
       return true;  // tautology
     }
-    if (!cleaned.empty() && cleaned.back() == lit) {
+    if (kept != 0 && buf[kept - 1] == lit) {
       continue;
     }
     if (LitValueIsTrue(lit)) {
@@ -66,29 +95,33 @@ bool SatSolver::AddClause(std::vector<SatLit> lits) {
     if (LitValueIsFalse(lit)) {
       continue;  // drop
     }
-    cleaned.push_back(lit);
+    buf[kept++] = lit;
   }
-  if (cleaned.empty()) {
+  if (kept == 0) {
     known_unsat_ = true;
     return false;
   }
-  if (cleaned.size() == 1) {
-    Enqueue(cleaned[0], kNoReason);
+  if (kept == 1) {
+    Enqueue(buf[0], kNoReason);
     if (Propagate() != kNoReason) {
       known_unsat_ = true;
       return false;
     }
     return true;
   }
-  clauses_.push_back(Clause{std::move(cleaned), false, 0.0});
-  AttachClause(static_cast<ClauseIdx>(clauses_.size() - 1));
+  StoreClause(std::span(buf).first(kept), false, 0.0);
   return true;
 }
 
-void SatSolver::AttachClause(ClauseIdx idx) {
-  const Clause& c = clauses_[idx];
-  watches_[NegateLit(c.lits[0])].push_back(idx);
-  watches_[NegateLit(c.lits[1])].push_back(idx);
+SatSolver::ClauseIdx SatSolver::StoreClause(std::span<const SatLit> lits, bool learned,
+                                            double activity) {
+  ClauseIdx idx = static_cast<ClauseIdx>(clauses_.size());
+  clauses_.push_back(Clause{static_cast<uint32_t>(lits_.size()),
+                            static_cast<uint32_t>(lits.size()), learned, activity});
+  lits_.insert(lits_.end(), lits.begin(), lits.end());
+  watches_[NegateLit(lits[0])].push_back(idx);
+  watches_[NegateLit(lits[1])].push_back(idx);
+  return idx;
 }
 
 void SatSolver::Enqueue(SatLit lit, ClauseIdx reason) {
@@ -109,23 +142,24 @@ SatSolver::ClauseIdx SatSolver::Propagate() {
     size_t keep = 0;
     for (size_t i = 0; i < watch_list.size(); ++i) {
       ClauseIdx idx = watch_list[i];
-      Clause& c = clauses_[idx];
+      const Clause& c = clauses_[idx];
+      SatLit* lits = &lits_[c.start];
       SatLit false_lit = NegateLit(p);
       // Ensure the false literal is in slot 1.
-      if (c.lits[0] == false_lit) {
-        std::swap(c.lits[0], c.lits[1]);
+      if (lits[0] == false_lit) {
+        std::swap(lits[0], lits[1]);
       }
       // If slot 0 is already true, clause is satisfied; keep watch.
-      if (LitValueIsTrue(c.lits[0])) {
+      if (LitValueIsTrue(lits[0])) {
         watch_list[keep++] = idx;
         continue;
       }
       // Look for a replacement watch.
       bool found = false;
-      for (size_t k = 2; k < c.lits.size(); ++k) {
-        if (!LitValueIsFalse(c.lits[k])) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[NegateLit(c.lits[1])].push_back(idx);
+      for (size_t k = 2; k < c.size; ++k) {
+        if (!LitValueIsFalse(lits[k])) {
+          std::swap(lits[1], lits[k]);
+          watches_[NegateLit(lits[1])].push_back(idx);
           found = true;
           break;
         }
@@ -135,7 +169,7 @@ SatSolver::ClauseIdx SatSolver::Propagate() {
       }
       // Clause is unit or conflicting.
       watch_list[keep++] = idx;
-      if (LitValueIsFalse(c.lits[0])) {
+      if (LitValueIsFalse(lits[0])) {
         // Conflict: restore remaining watches and report.
         for (size_t j = i + 1; j < watch_list.size(); ++j) {
           watch_list[keep++] = watch_list[j];
@@ -144,7 +178,7 @@ SatSolver::ClauseIdx SatSolver::Propagate() {
         propagate_head_ = trail_.size();
         return idx;
       }
-      Enqueue(c.lits[0], idx);
+      Enqueue(lits[0], idx);
     }
     watch_list.resize(keep);
   }
@@ -166,9 +200,10 @@ void SatSolver::Analyze(ClauseIdx conflict, std::vector<SatLit>* learned,
     DDT_CHECK(reason != kNoReason);
     Clause& c = clauses_[reason];
     c.activity += activity_inc_;
+    const SatLit* lits = &lits_[c.start];
     size_t start = have_p ? 1 : 0;  // skip the asserting literal itself
-    for (size_t i = start; i < c.lits.size(); ++i) {
-      SatLit q = c.lits[i];
+    for (size_t i = start; i < c.size; ++i) {
+      SatLit q = lits[i];
       if (have_p && q == p) {
         continue;
       }
@@ -200,7 +235,7 @@ void SatSolver::Analyze(ClauseIdx conflict, std::vector<SatLit>* learned,
     // Invariant from Enqueue/Propagate: a reason clause always has its
     // asserting literal in slot 0, so the `start = 1` skip above is valid.
     if (reason != kNoReason) {
-      DDT_CHECK(clauses_[reason].lits[0] == p);
+      DDT_CHECK(lits_[clauses_[reason].start] == p);
     }
   }
   (*learned)[0] = NegateLit(p);
@@ -291,7 +326,7 @@ SatResult SatSolver::Solve(const std::vector<SatLit>& assumptions, uint64_t conf
   uint64_t restarts = 0;
   uint64_t restart_limit = kRestartBase * Luby(0);
   uint64_t conflicts_since_restart = 0;
-  std::vector<SatLit> learned;
+  std::vector<SatLit>& learned = learned_;
 
   for (;;) {
     ClauseIdx conflict = Propagate();
@@ -321,9 +356,7 @@ SatResult SatSolver::Solve(const std::vector<SatLit>& assumptions, uint64_t conf
           Enqueue(learned[0], kNoReason);
         }
       } else {
-        clauses_.push_back(Clause{learned, true, activity_inc_});
-        ClauseIdx idx = static_cast<ClauseIdx>(clauses_.size() - 1);
-        AttachClause(idx);
+        ClauseIdx idx = StoreClause(learned, true, activity_inc_);
         Enqueue(learned[0], idx);
       }
       DecayActivities();

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ddt {
@@ -27,16 +28,28 @@ class SatSolver {
  public:
   SatSolver();
 
+  // Returns the solver to the exact state of a newly constructed one, so
+  // the next instance solves identically, but keeps the storage it grew:
+  // a solver reused across queries stops paying the allocator per query.
+  void Reset();
+
   // Allocates a fresh variable; returns its index.
   uint32_t NewVar();
   uint32_t num_vars() const { return static_cast<uint32_t>(assign_.size()); }
 
-  // Adds a clause (disjunction of literals). Empty clause makes the instance
-  // trivially unsat. Returns false if the solver is already known-unsat.
-  bool AddClause(std::vector<SatLit> lits);
-  void AddUnit(SatLit lit) { AddClause({lit}); }
-  void AddBinary(SatLit a, SatLit b) { AddClause({a, b}); }
-  void AddTernary(SatLit a, SatLit b, SatLit c) { AddClause({a, b, c}); }
+  // Adds a clause (disjunction of literals; the caller's storage is only
+  // read). Empty clause makes the instance trivially unsat. Returns false if
+  // the solver is already known-unsat.
+  bool AddClause(std::span<const SatLit> lits);
+  void AddUnit(SatLit lit) { AddClause({&lit, 1}); }
+  void AddBinary(SatLit a, SatLit b) {
+    SatLit lits[2] = {a, b};
+    AddClause(lits);
+  }
+  void AddTernary(SatLit a, SatLit b, SatLit c) {
+    SatLit lits[3] = {a, b, c};
+    AddClause(lits);
+  }
 
   // Solves under the given assumptions. kUnknown only if conflict_budget
   // (when nonzero) is exhausted, `deadline` (when non-null) passes, or
@@ -67,8 +80,11 @@ class SatSolver {
  private:
   enum : uint8_t { kUndef = 2 };  // assign_ values: 0 = false, 1 = true, 2 = unassigned
 
+  // A clause's literals are lits_[start, start + size); the first two are
+  // its watches.
   struct Clause {
-    std::vector<SatLit> lits;
+    uint32_t start = 0;
+    uint32_t size = 0;
     bool learned = false;
     double activity = 0.0;
   };
@@ -94,10 +110,14 @@ class SatSolver {
   void BumpVar(uint32_t var);
   void DecayActivities();
   SatLit PickBranchLit();
-  void AttachClause(ClauseIdx idx);
+  // Appends `lits` as a new clause, watches it, returns its index.
+  ClauseIdx StoreClause(std::span<const SatLit> lits, bool learned, double activity);
 
   std::vector<Clause> clauses_;
-  std::vector<std::vector<ClauseIdx>> watches_;  // indexed by literal
+  std::vector<SatLit> lits_;  // every clause's literals, back to back
+  // Indexed by literal. Reset clears the lists but keeps them (and their
+  // capacity), so only the first 2 * num_vars() entries are live.
+  std::vector<std::vector<ClauseIdx>> watches_;
   std::vector<uint8_t> assign_;
   std::vector<uint8_t> saved_phase_;
   std::vector<uint32_t> level_;
@@ -116,6 +136,10 @@ class SatSolver {
   uint64_t decisions_ = 0;
   uint64_t propagations_ = 0;
 
+  // Scratch, reused across calls: AddClause's normalization buffer, and
+  // Solve's learned clause.
+  std::vector<SatLit> clause_buf_;
+  std::vector<SatLit> learned_;
   std::vector<uint8_t> seen_;  // scratch for Analyze
 };
 

@@ -35,6 +35,21 @@ void SolverStats::Accumulate(const SolverStats& other) {
   max_query_wall_ms = std::max(max_query_wall_ms, other.max_query_wall_ms);
 }
 
+// Reset between SAT calls rather than rebuilt: the instance keeps the clause
+// arena, watch lists, per-variable arrays and node table it grew, so a query
+// encodes without allocating. Reset restores the exact freshly-constructed
+// state, so every query still gets byte-for-byte the CNF (and the model) a
+// new SatSolver + Bitblaster would give it.
+struct Solver::SatInstance {
+  SatSolver sat;
+  Bitblaster blaster{&sat};
+
+  void Reset() {
+    sat.Reset();
+    blaster.Reset();
+  }
+};
+
 Solver::Solver(ExprContext* ctx, const SolverConfig& config) : ctx_(ctx), config_(config) {
 #ifndef DDT_OBS_DISABLED
   if (config_.metrics != nullptr) {
@@ -44,42 +59,70 @@ Solver::Solver(ExprContext* ctx, const SolverConfig& config) : ctx_(ctx), config
 #endif
 }
 
-std::vector<ExprRef> Solver::Slice(const std::vector<ExprRef>& constraints,
-                                   const std::vector<uint32_t>& seed_vars) const {
-  // Fixpoint: pull in every constraint sharing a variable with the working
-  // set. Constraint var sets are computed once.
-  std::unordered_set<uint32_t> live(seed_vars.begin(), seed_vars.end());
-  std::vector<std::unordered_set<uint32_t>> cvars(constraints.size());
-  for (size_t i = 0; i < constraints.size(); ++i) {
-    CollectVars(constraints[i], &cvars[i]);
+Solver::~Solver() = default;
+
+void Solver::ReleaseScratch() {
+  sat_.reset();
+  vars_memo_ = {};
+  live_mark_ = {};
+  live_epoch_ = 0;
+  slice_vars_ = {};
+  slice_included_ = {};
+}
+
+const std::vector<uint32_t>& Solver::VarsOf(ExprRef e) {
+  auto [it, inserted] = vars_memo_.try_emplace(e);
+  if (inserted) {
+    CollectVars(e, &it->second);
   }
-  std::vector<bool> included(constraints.size(), false);
+  return it->second;
+}
+
+std::vector<ExprRef> Solver::Slice(const std::vector<ExprRef>& constraints, ExprRef seed) {
+  // Fixpoint: pull in every constraint sharing a variable with the working
+  // set. A new epoch empties the live set without touching its storage.
+  if (++live_epoch_ == 0) {
+    std::fill(live_mark_.begin(), live_mark_.end(), 0);
+    live_epoch_ = 1;
+  }
+  auto mark_live = [this](const std::vector<uint32_t>& vars) {
+    for (uint32_t v : vars) {
+      if (v >= live_mark_.size()) {
+        live_mark_.resize(static_cast<size_t>(v) + 1, 0);
+      }
+      live_mark_[v] = live_epoch_;
+    }
+  };
+  mark_live(VarsOf(seed));
+  slice_vars_.clear();
+  for (ExprRef c : constraints) {
+    slice_vars_.push_back(&VarsOf(c));
+  }
+  slice_included_.assign(constraints.size(), 0);
   bool changed = true;
   while (changed) {
     changed = false;
     for (size_t i = 0; i < constraints.size(); ++i) {
-      if (included[i]) {
+      if (slice_included_[i] != 0) {
         continue;
       }
       bool intersects = false;
-      for (uint32_t v : cvars[i]) {
-        if (live.count(v) != 0) {
+      for (uint32_t v : *slice_vars_[i]) {
+        if (v < live_mark_.size() && live_mark_[v] == live_epoch_) {
           intersects = true;
           break;
         }
       }
       if (intersects) {
-        included[i] = true;
+        slice_included_[i] = 1;
         changed = true;
-        for (uint32_t v : cvars[i]) {
-          live.insert(v);
-        }
+        mark_live(*slice_vars_[i]);
       }
     }
   }
   std::vector<ExprRef> out;
   for (size_t i = 0; i < constraints.size(); ++i) {
-    if (included[i]) {
+    if (slice_included_[i] != 0) {
       out.push_back(constraints[i]);
     }
   }
@@ -244,11 +287,18 @@ bool Solver::SolveExprs(const std::vector<ExprRef>& exprs, Assignment* model, bo
   if (have_deadline) {
     deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(config_.max_query_ms);
   }
-  SatSolver sat;
-  Bitblaster blaster(&sat);
-  for (ExprRef e : exprs) {
-    blaster.AssertTrue(e);
+  {
+    obs::ScopedSpan encode_span("solver.encode");
+    if (sat_ == nullptr) {
+      sat_ = std::make_unique<SatInstance>();
+    } else {
+      sat_->Reset();
+    }
+    for (ExprRef e : exprs) {
+      sat_->blaster.AssertTrue(e);
+    }
   }
+  SatSolver& sat = sat_->sat;
   SatResult result =
       sat.Solve({}, config_.conflict_budget, have_deadline ? &deadline : nullptr, abort_flag_);
   stats_.total_conflicts += sat.conflicts();
@@ -276,7 +326,7 @@ bool Solver::SolveExprs(const std::vector<ExprRef>& exprs, Assignment* model, bo
   }
   ++stats_.sat_results;
   obs_span.Tag("result", "sat");
-  Assignment extracted = blaster.ExtractModel();
+  Assignment extracted = sat_->blaster.ExtractModel();
   if (config_.verify_models) {
     for (ExprRef e : exprs) {
       DDT_CHECK_MSG(EvalBool(e, extracted), "SAT model fails to satisfy constraint");
@@ -314,9 +364,7 @@ bool Solver::IsSatisfiable(const std::vector<ExprRef>& constraints, ExprRef extr
 
   std::vector<ExprRef> query;
   if (config_.enable_slicing && extra != nullptr) {
-    std::vector<uint32_t> seed;
-    CollectVars(extra, &seed);
-    query = Slice(constraints, seed);
+    query = Slice(constraints, extra);
     query.push_back(extra);
   } else {
     query = constraints;
@@ -458,10 +506,8 @@ std::optional<uint64_t> Solver::GetValue(const std::vector<ExprRef>& constraints
     return expr->const_value();
   }
   // Slice to the constraints relevant to this expression, solve, evaluate.
-  std::vector<uint32_t> seed;
-  CollectVars(expr, &seed);
   std::vector<ExprRef> relevant =
-      config_.enable_slicing ? Slice(constraints, seed) : constraints;
+      config_.enable_slicing ? Slice(constraints, expr) : constraints;
   Assignment model;
   if (!IsSatisfiable(relevant, nullptr, &model)) {
     return std::nullopt;
@@ -481,9 +527,7 @@ bool Solver::GetInitialValues(const std::vector<ExprRef>& constraints, Assignmen
   // simple repeated-slice partition is clear and fast enough.
   std::vector<ExprRef> remaining = constraints;
   while (!remaining.empty()) {
-    std::vector<uint32_t> seed;
-    CollectVars(remaining[0], &seed);
-    std::vector<ExprRef> component = Slice(remaining, seed);
+    std::vector<ExprRef> component = Slice(remaining, remaining[0]);
     if (component.empty()) {
       component.push_back(remaining[0]);
     }

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -113,6 +114,7 @@ struct SolverStats {
 class Solver {
  public:
   Solver(ExprContext* ctx, const SolverConfig& config = SolverConfig());
+  ~Solver();
 
   // True iff (AND of constraints) AND extra is satisfiable. `extra` may be
   // null (checks the constraint set alone). On SAT with `model` non-null,
@@ -149,6 +151,12 @@ class Solver {
   // conservative "maybe" answer — the same graceful path as a query timeout.
   void SetAbortFlag(const std::atomic<bool>* flag) { abort_flag_ = flag; }
 
+  // Frees the reusable SAT instance and the slicing memo. Ddt calls this
+  // when its exploration ends, because campaigns keep every pass's Ddt alive
+  // for its bug evidence; a later query rebuilds them on demand, with
+  // identical results.
+  void ReleaseScratch();
+
  private:
   // Per-solver cache entry. `exprs` is the sorted, deduplicated constraint
   // set the verdict was computed for — the full key. The map is keyed on a
@@ -161,10 +169,16 @@ class Solver {
     Assignment model;
   };
 
+  // The SatSolver + Bitblaster pair every SAT call encodes into, Reset
+  // between calls (defined in solver.cc).
+  struct SatInstance;
+
   // Returns the subset of constraints transitively sharing variables with
-  // `seed_vars`.
-  std::vector<ExprRef> Slice(const std::vector<ExprRef>& constraints,
-                             const std::vector<uint32_t>& seed_vars) const;
+  // `seed`, in constraint order.
+  std::vector<ExprRef> Slice(const std::vector<ExprRef>& constraints, ExprRef seed);
+  // The distinct variable ids `e` mentions, computed once per expression:
+  // expressions are immutable and outlive the solver.
+  const std::vector<uint32_t>& VarsOf(ExprRef e);
 
   // Uncached SAT query over an explicit expression list.
   bool SolveExprs(const std::vector<ExprRef>& exprs, Assignment* model, bool* unknown);
@@ -198,6 +212,15 @@ class Solver {
   QueryCanonicalizer canonicalizer_;
   Assignment last_model_;         // most recent satisfying assignment
   bool have_last_model_ = false;
+  // Created on the first SAT call, so a solver that never reaches SAT (a
+  // fuzz exec) pays nothing for it.
+  std::unique_ptr<SatInstance> sat_;
+  std::unordered_map<ExprRef, std::vector<uint32_t>> vars_memo_;
+  // Slice scratch: a variable is live iff live_mark_[id] == live_epoch_.
+  std::vector<uint32_t> live_mark_;
+  uint32_t live_epoch_ = 0;
+  std::vector<const std::vector<uint32_t>*> slice_vars_;
+  std::vector<uint8_t> slice_included_;
 };
 
 }  // namespace ddt

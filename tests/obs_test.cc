@@ -19,6 +19,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace_events.h"
+#include "src/solver/solver.h"
 
 namespace ddt::obs {
 namespace {
@@ -561,6 +562,44 @@ TEST_F(TracerTest, ConcurrentSpansAcrossThreads) {
     } else {
       EXPECT_GT(events[i].tid, events[i - 1].tid);
     }
+  }
+}
+
+// A SAT query's span splits encoding (bit-blasting and clause intake) from
+// the CDCL search: every solver.query span holds exactly one solver.encode
+// span, one level deeper and within its bounds.
+TEST_F(TracerTest, SolverQuerySpanContainsEncodeSpan) {
+  ExprContext ctx;
+  Solver solver(&ctx);
+  ExprRef x = ctx.Var(32, "x");
+  Tracer::Get().Enable();
+  EXPECT_TRUE(solver.IsSatisfiable({}, ctx.Eq(ctx.Mul(x, x), ctx.Const(49, 32))));
+  EXPECT_FALSE(solver.IsSatisfiable({ctx.Ult(x, ctx.Const(3, 32))},
+                                    ctx.Eq(x, ctx.Const(9, 32))));
+  Tracer::Get().Disable();
+
+  std::vector<const TraceEventRecord*> queries;
+  std::vector<const TraceEventRecord*> encodes;
+  std::vector<TraceEventRecord> events = Tracer::Get().Collect();
+  for (const TraceEventRecord& ev : events) {
+    if (ev.phase != 'X') {
+      continue;
+    }
+    if (std::string(ev.name) == "solver.query") {
+      queries.push_back(&ev);
+    } else if (std::string(ev.name) == "solver.encode") {
+      encodes.push_back(&ev);
+    }
+  }
+  ASSERT_EQ(queries.size(), 2u);
+  ASSERT_EQ(encodes.size(), 2u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const TraceEventRecord& query = *queries[i];
+    const TraceEventRecord& encode = *encodes[i];
+    EXPECT_EQ(encode.tid, query.tid);
+    EXPECT_EQ(encode.depth, query.depth + 1);
+    EXPECT_GE(encode.ts_us, query.ts_us);
+    EXPECT_LE(encode.ts_us + encode.dur_us, query.ts_us + query.dur_us + 5e-3);
   }
 }
 

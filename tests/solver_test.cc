@@ -8,6 +8,8 @@
 
 #include <atomic>
 
+#include "src/core/ddt.h"
+#include "src/drivers/corpus.h"
 #include "src/expr/eval.h"
 #include "src/solver/bitblast.h"
 #include "src/solver/intervals.h"
@@ -143,6 +145,218 @@ TEST(SatSolverTest, RandomThreeSatAgainstBruteForce) {
       }
     }
   }
+}
+
+// Clauses far longer than any fixed-size buffer, full of duplicate literals,
+// complementary pairs and literals already decided at level 0, must mean
+// exactly their set of literals.
+TEST(SatSolverTest, LongClauseNormalizationCases) {
+  SatSolver sat;
+  uint32_t a = sat.NewVar();
+  uint32_t b = sat.NewVar();
+  uint32_t c = sat.NewVar();
+  uint32_t d = sat.NewVar();
+  uint32_t e = sat.NewVar();
+  sat.AddUnit(MakeLit(a, false));  // a true at level 0
+  sat.AddUnit(MakeLit(b, true));   // b false at level 0
+  auto repeat = [](std::initializer_list<SatLit> lits, size_t size) {
+    std::vector<SatLit> clause;
+    while (clause.size() < size) {
+      for (SatLit lit : lits) {
+        clause.push_back(lit);
+      }
+    }
+    return clause;
+  };
+  // 300 copies of (c, d, b): b is false, so the clause is (c | d).
+  EXPECT_TRUE(
+      sat.AddClause(repeat({MakeLit(c, false), MakeLit(d, false), MakeLit(b, false)}, 300)));
+  EXPECT_EQ(sat.num_clauses(), 1u);
+  // A complementary pair anywhere makes a tautology: nothing stored.
+  std::vector<SatLit> tautology = repeat({MakeLit(c, true), MakeLit(e, false)}, 257);
+  tautology.push_back(MakeLit(e, true));
+  EXPECT_TRUE(sat.AddClause(tautology));
+  EXPECT_EQ(sat.num_clauses(), 1u);
+  // A literal already true at level 0 satisfies the clause: nothing stored.
+  EXPECT_TRUE(
+      sat.AddClause(repeat({MakeLit(d, true), MakeLit(e, true), MakeLit(a, false)}, 299)));
+  EXPECT_EQ(sat.num_clauses(), 1u);
+  // Only false literals besides ~e: the clause is the unit ~e, asserted now.
+  EXPECT_TRUE(
+      sat.AddClause(repeat({MakeLit(b, false), MakeLit(a, true), MakeLit(e, true)}, 300)));
+  EXPECT_EQ(sat.num_clauses(), 1u);
+  ASSERT_EQ(sat.Solve(), SatResult::kSat);
+  EXPECT_FALSE(sat.ModelValue(e));
+  EXPECT_TRUE(sat.ModelValue(c) || sat.ModelValue(d));
+
+  // Nothing but false literals: the empty clause.
+  SatSolver refuted;
+  uint32_t p = refuted.NewVar();
+  uint32_t q = refuted.NewVar();
+  refuted.AddUnit(MakeLit(p, false));
+  refuted.AddUnit(MakeLit(q, true));
+  EXPECT_FALSE(refuted.AddClause(repeat({MakeLit(q, false), MakeLit(p, true)}, 400)));
+  EXPECT_EQ(refuted.num_clauses(), 0u);
+  EXPECT_EQ(refuted.Solve(), SatResult::kUnsat);
+}
+
+TEST(SatSolverTest, RandomLongClausesAgainstBruteForce) {
+  Rng rng(555);
+  constexpr uint32_t kVars = 10;
+  int sat_rounds = 0;
+  int unsat_rounds = 0;
+  for (int round = 0; round < 150; ++round) {
+    SatSolver sat;
+    for (uint32_t i = 0; i < kVars; ++i) {
+      sat.NewVar();
+    }
+    std::vector<std::vector<SatLit>> clauses;
+    // A few variables decided at level 0 before the long clauses arrive.
+    for (uint64_t i = rng.NextBelow(4); i > 0; --i) {
+      SatLit unit = MakeLit(static_cast<uint32_t>(rng.NextBelow(kVars)), rng.NextBelow(2) == 0);
+      clauses.push_back({unit});
+      sat.AddClause(clauses.back());
+    }
+    for (uint64_t i = 4 + rng.NextBelow(10); i > 0; --i) {
+      // Draw 40..300 literals from one to three variables with a fixed
+      // polarity each (so duplicates abound), occasionally the complement.
+      uint32_t vars[3];
+      bool negated[3];
+      uint64_t distinct = 1 + rng.NextBelow(3);
+      for (int k = 0; k < 3; ++k) {
+        vars[k] = static_cast<uint32_t>(rng.NextBelow(kVars));
+        negated[k] = rng.NextBelow(2) == 0;
+      }
+      std::vector<SatLit> clause;
+      for (uint64_t n = 40 + rng.NextBelow(261); n > 0; --n) {
+        int k = static_cast<int>(rng.NextBelow(distinct));
+        bool flip = rng.NextBelow(400) == 0;
+        clause.push_back(MakeLit(vars[k], negated[k] != flip));
+      }
+      clauses.push_back(clause);
+      sat.AddClause(clause);
+    }
+    bool expect_sat = false;
+    for (uint32_t mask = 0; mask < (1u << kVars) && !expect_sat; ++mask) {
+      bool all = true;
+      for (const auto& clause : clauses) {
+        bool any = false;
+        for (SatLit lit : clause) {
+          any |= (((mask >> LitVar(lit)) & 1) != 0) != LitNegated(lit);
+        }
+        all &= any;
+      }
+      expect_sat = all;
+    }
+    SatResult result = sat.Solve();
+    ASSERT_EQ(result, expect_sat ? SatResult::kSat : SatResult::kUnsat) << "round " << round;
+    if (result == SatResult::kSat) {
+      ++sat_rounds;
+      for (const auto& clause : clauses) {
+        bool any = false;
+        for (SatLit lit : clause) {
+          any |= sat.ModelValue(LitVar(lit)) != LitNegated(lit);
+        }
+        EXPECT_TRUE(any) << "model violates a clause in round " << round;
+      }
+    } else {
+      ++unsat_rounds;
+    }
+  }
+  // Both verdicts were exercised.
+  EXPECT_GT(sat_rounds, 10);
+  EXPECT_GT(unsat_rounds, 10);
+}
+
+// --- Reuse: a Reset SatSolver is indistinguishable from a new one ------------
+
+struct CnfInstance {
+  uint32_t vars = 0;
+  std::vector<std::vector<SatLit>> clauses;
+  std::vector<SatLit> assumptions;
+  uint64_t conflict_budget = 0;
+};
+
+// Random mostly-3-SAT near the satisfiability threshold, so solving takes
+// decisions, conflicts, learned clauses and restarts; some instances carry
+// assumptions or a conflict budget small enough to stop mid-search.
+CnfInstance RandomCnf(Rng* rng) {
+  CnfInstance cnf;
+  cnf.vars = 12 + static_cast<uint32_t>(rng->NextBelow(40));
+  size_t num_clauses = cnf.vars * (38 + rng->NextBelow(10)) / 10;
+  for (size_t i = 0; i < num_clauses; ++i) {
+    size_t len = rng->NextBelow(8) == 0 ? 2 + rng->NextBelow(5) : 3;
+    std::vector<SatLit> clause;
+    for (size_t j = 0; j < len; ++j) {
+      clause.push_back(MakeLit(static_cast<uint32_t>(rng->NextBelow(cnf.vars)),
+                               rng->NextBelow(2) == 0));
+    }
+    cnf.clauses.push_back(clause);
+  }
+  if (rng->NextBelow(4) == 0) {
+    for (uint64_t i = 1 + rng->NextBelow(3); i > 0; --i) {
+      cnf.assumptions.push_back(
+          MakeLit(static_cast<uint32_t>(rng->NextBelow(cnf.vars)), rng->NextBelow(2) == 0));
+    }
+  }
+  if (rng->NextBelow(5) == 0) {
+    cnf.conflict_budget = 1 + rng->NextBelow(4);
+  }
+  return cnf;
+}
+
+struct CnfOutcome {
+  SatResult result = SatResult::kUnknown;
+  std::vector<bool> model;
+  uint64_t conflicts = 0;
+  uint64_t decisions = 0;
+  size_t num_clauses = 0;
+};
+
+CnfOutcome SolveCnf(SatSolver* sat, const CnfInstance& cnf) {
+  for (uint32_t i = 0; i < cnf.vars; ++i) {
+    sat->NewVar();
+  }
+  for (const std::vector<SatLit>& clause : cnf.clauses) {
+    sat->AddClause(clause);
+  }
+  CnfOutcome out;
+  out.result = sat->Solve(cnf.assumptions, cnf.conflict_budget);
+  if (out.result == SatResult::kSat) {
+    for (uint32_t v = 0; v < cnf.vars; ++v) {
+      out.model.push_back(sat->ModelValue(v));
+    }
+  }
+  out.conflicts = sat->conflicts();
+  out.decisions = sat->decisions();
+  out.num_clauses = sat->num_clauses();
+  return out;
+}
+
+TEST(SatSolverResetTest, ResetInstanceSolvesExactlyLikeAFreshOne) {
+  Rng rng(2024);
+  SatSolver reused;
+  int verdicts[3] = {0, 0, 0};
+  uint64_t total_conflicts = 0;
+  for (int round = 0; round < 300; ++round) {
+    CnfInstance cnf = RandomCnf(&rng);
+    SatSolver fresh;
+    CnfOutcome want = SolveCnf(&fresh, cnf);
+    reused.Reset();
+    CnfOutcome got = SolveCnf(&reused, cnf);
+    ASSERT_EQ(got.result, want.result) << "round " << round;
+    EXPECT_EQ(got.model, want.model) << "round " << round;
+    EXPECT_EQ(got.conflicts, want.conflicts) << "round " << round;
+    EXPECT_EQ(got.decisions, want.decisions) << "round " << round;
+    EXPECT_EQ(got.num_clauses, want.num_clauses) << "round " << round;
+    ++verdicts[static_cast<int>(want.result)];
+    total_conflicts += want.conflicts;
+  }
+  // The sequence really exercised search: every verdict, many conflicts.
+  EXPECT_GT(verdicts[static_cast<int>(SatResult::kSat)], 20);
+  EXPECT_GT(verdicts[static_cast<int>(SatResult::kUnsat)], 20);
+  EXPECT_GT(verdicts[static_cast<int>(SatResult::kUnknown)], 5);
+  EXPECT_GT(total_conflicts, 1000u);
 }
 
 // --- Bit-blaster -------------------------------------------------------------
@@ -776,6 +990,175 @@ TEST(SolverAbortTest, AbortFlagTurnsSolvesIntoConservativeUnknowns) {
   EXPECT_TRUE(solver.IsSatisfiable({}, ctx.Eq(x, ctx.Const(5, 32))));
   EXPECT_EQ(solver.stats().aborted_queries, aborted);
   EXPECT_GE(solver.stats().sat_calls, 1u);
+}
+
+// --- Reuse: one Solver's SAT pipeline serves every query ---------------------
+
+// A random width-1 constraint over `vars`: a comparison between two random
+// arithmetic terms, widths reconciled by extension or extraction.
+ExprRef RandomConstraint(ExprContext* ctx, const std::vector<ExprRef>& vars, Rng* rng) {
+  auto fit = [&](ExprRef v, uint8_t width) {
+    if (v->width() < width) {
+      return rng->NextBelow(2) == 0 ? ctx->ZExt(v, width) : ctx->SExt(v, width);
+    }
+    if (v->width() > width) {
+      return ctx->Extract(v, static_cast<uint32_t>(rng->NextBelow(v->width() - width + 1)),
+                          width);
+    }
+    return v;
+  };
+  auto term = [&](uint8_t width) {
+    ExprRef v = fit(vars[rng->NextBelow(vars.size())], width);
+    // The second operand: a constant, or another variable's bits.
+    ExprRef k = rng->NextBelow(2) == 0 ? ctx->Const(rng->Next(), width)
+                                       : fit(vars[rng->NextBelow(vars.size())], width);
+    switch (rng->NextBelow(12)) {
+      case 0:
+        return ctx->Add(v, k);
+      case 1:
+        return ctx->Sub(k, v);
+      case 2:
+        return ctx->Mul(v, k);
+      case 3:
+        return ctx->And(v, k);
+      case 4:
+        return ctx->Xor(v, ctx->Or(v, k));
+      case 5:
+        return ctx->LShr(v, ctx->Const(rng->NextBelow(width), width));
+      case 6:
+        return ctx->AShr(v, ctx->And(v, ctx->Const(7, width)));
+      case 7:
+        return ctx->UDiv(v, ctx->Or(k, ctx->Const(1, width)));
+      case 8:
+        return ctx->SRem(v, k);
+      case 9:
+        return ctx->Ite(ctx->Slt(v, k), v, k);
+      case 10:
+        return ctx->Shl(v, v);
+      default:
+        return v;
+    }
+  };
+  // Terms stay at most 32 bits wide (the 64-bit variable enters through
+  // extraction), which keeps multiplier and divider circuits test-sized.
+  static const uint8_t kWidths[] = {8, 16, 32};
+  uint8_t width = kWidths[rng->NextBelow(3)];
+  ExprRef a = term(width);
+  ExprRef b = rng->NextBelow(2) == 0 ? term(width) : ctx->Const(rng->Next(), width);
+  switch (rng->NextBelow(5)) {
+    case 0:
+      return ctx->Eq(a, b);
+    case 1:
+      return ctx->Ult(a, b);
+    case 2:
+      return ctx->Ule(a, b);
+    case 3:
+      return ctx->Slt(a, b);
+    default:
+      return ctx->Sle(a, b);
+  }
+}
+
+TEST(SolverReuseTest, ReusedSolverModelsMatchAFreshPipelinePerQuery) {
+  Rng rng(4242);
+  ExprContext ctx;
+  SolverConfig config;
+  config.enable_cache = false;  // every query reaches SAT
+  Solver solver(&ctx, config);
+  std::vector<ExprRef> vars = {ctx.Var(8, "a"), ctx.Var(16, "b"), ctx.Var(32, "c"),
+                               ctx.Var(64, "d")};
+  int sat_queries = 0;
+  int unsat_queries = 0;
+  for (int round = 0; round < 120; ++round) {
+    std::vector<ExprRef> constraints;
+    for (uint64_t i = 1 + rng.NextBelow(4); i > 0; --i) {
+      ExprRef c = RandomConstraint(&ctx, vars, &rng);
+      if (!c->IsConst()) {
+        constraints.push_back(c);
+      }
+    }
+    if (constraints.empty()) {
+      continue;
+    }
+    Assignment got;
+    bool sat = solver.IsSatisfiable(constraints, nullptr, &got);
+
+    SatSolver fresh_sat;
+    Bitblaster fresh_blaster(&fresh_sat);
+    for (ExprRef c : constraints) {
+      fresh_blaster.AssertTrue(c);
+    }
+    SatResult want = fresh_sat.Solve({}, config.conflict_budget);
+    ASSERT_NE(want, SatResult::kUnknown) << "round " << round;
+    ASSERT_EQ(sat, want == SatResult::kSat) << "round " << round;
+    if (sat) {
+      ++sat_queries;
+      EXPECT_EQ(got.values(), fresh_blaster.ExtractModel().values()) << "round " << round;
+    } else {
+      ++unsat_queries;
+    }
+  }
+  EXPECT_EQ(solver.stats().sat_calls, static_cast<uint64_t>(sat_queries + unsat_queries));
+  EXPECT_GT(sat_queries, 20);
+  EXPECT_GT(unsat_queries, 5);
+}
+
+// Fresh-solver models for a fixed stream of random queries, folded into a
+// digest. Most of these queries leave variables free, and the search decides
+// free variables in SAT-variable order, so the models follow variable
+// numbering: any change to operand or gate encoding order moves the digest
+// even when clause and variable counts stay put.
+uint64_t RandomQueryModelDigest() {
+  Rng rng(777);
+  uint64_t digest = 0xCBF29CE484222325ull;
+  auto fold = [&digest](uint64_t value) {
+    digest ^= value;
+    digest *= 0x100000001B3ull;
+  };
+  for (int round = 0; round < 200; ++round) {
+    ExprContext ctx;
+    Solver solver(&ctx);
+    std::vector<ExprRef> vars = {ctx.Var(8, "a"), ctx.Var(16, "b"), ctx.Var(32, "c"),
+                                 ctx.Var(64, "d")};
+    std::vector<ExprRef> constraints;
+    for (uint64_t i = 1 + rng.NextBelow(3); i > 0; --i) {
+      constraints.push_back(RandomConstraint(&ctx, vars, &rng));
+    }
+    Assignment model;
+    bool sat = solver.IsSatisfiable(constraints, nullptr, &model);
+    fold(sat ? 1 : 0);
+    for (ExprRef v : vars) {
+      fold(model.Get(v->var_id()));
+    }
+  }
+  return digest;
+}
+
+TEST(SolverCnfPinTest, RandomQueryModelsMatchTheRecordedDigest) {
+  EXPECT_EQ(RandomQueryModelDigest(), 0xbd0a232bc6e2b9baull);
+}
+
+// The CNF every query is encoded into is pinned: the SAT-call count, the
+// variables and clauses they were given, the conflicts they took and the
+// verdicts served by model reuse over a whole DDT run must not move when the
+// solver's internals change. A change that alters encoding order or clause
+// content (and with it the models the engine concretizes with) shows here
+// first. Update the figures only for a deliberate encoding change.
+TEST(SolverCnfPinTest, Rtl8029RunEncodesTheSameCnf) {
+  const CorpusDriver& driver = CorpusDriverByName("rtl8029");
+  DdtConfig config;
+  config.engine.max_instructions = 2'000'000;
+  config.engine.max_wall_ms = 120'000;
+  config.engine.max_states = 512;
+  Ddt ddt(config);
+  Result<DdtResult> result = ddt.TestDriver(driver.image, driver.pci);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  const SolverStats& stats = result.value().solver_stats;
+  EXPECT_EQ(stats.sat_calls, 2365u);
+  EXPECT_EQ(stats.total_sat_clauses, 1440320u);
+  EXPECT_EQ(stats.total_sat_vars, 806663u);
+  EXPECT_EQ(stats.total_conflicts, 53u);
+  EXPECT_EQ(stats.model_reuse_hits, 451u);
 }
 
 }  // namespace
