@@ -220,7 +220,8 @@ Result<FaultCampaignResult> RunFaultCampaign(const FaultCampaignConfig& config,
   // threads == 1 covers both the explicit sequential request and the
   // degenerate schedules (zero or one runnable plan): passes run inline on
   // the calling thread and no worker pool is ever spawned — on a single-CPU
-  // host pool handoff costs more than it buys (see bench_exec part 2).
+  // host pool handoff costs more than it buys (perfbench's
+  // core.parallel_efficiency shows what the pool yields per thread).
   result.inline_scheduler = threads == 1;
 
   std::mutex error_mu;

@@ -278,9 +278,6 @@ class Engine : public CheckerHost, private BlockCountOracle {
   const Cfg& cfg() const { return prepared_->cfg; }
   const LoadedDriver& loaded_driver() const { return prepared_->loaded; }
   const MemStats& mem_stats() const { return mem_stats_; }
-  // The decoded-block translation cache; null when enable_block_cache is off
-  // or LoadDriver has not run.
-  BlockCache* block_cache() { return block_cache_.get(); }
   // Fault-eligible call sites observed across all paths of this run; a
   // campaign uses the baseline pass's profile to enumerate injection plans.
   const FaultSiteProfile& fault_site_profile() const { return fault_site_profile_; }

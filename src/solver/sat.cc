@@ -50,7 +50,6 @@ void SatSolver::Reset() {
   hit_abort_ = false;
   conflicts_ = 0;
   decisions_ = 0;
-  propagations_ = 0;
   seen_.clear();
 }
 
@@ -109,15 +108,14 @@ bool SatSolver::AddClause(std::span<const SatLit> lits) {
     }
     return true;
   }
-  StoreClause(std::span(buf).first(kept), false, 0.0);
+  StoreClause(std::span(buf).first(kept));
   return true;
 }
 
-SatSolver::ClauseIdx SatSolver::StoreClause(std::span<const SatLit> lits, bool learned,
-                                            double activity) {
+SatSolver::ClauseIdx SatSolver::StoreClause(std::span<const SatLit> lits) {
   ClauseIdx idx = static_cast<ClauseIdx>(clauses_.size());
-  clauses_.push_back(Clause{static_cast<uint32_t>(lits_.size()),
-                            static_cast<uint32_t>(lits.size()), learned, activity});
+  clauses_.push_back(
+      Clause{static_cast<uint32_t>(lits_.size()), static_cast<uint32_t>(lits.size())});
   lits_.insert(lits_.end(), lits.begin(), lits.end());
   watches_[NegateLit(lits[0])].push_back(idx);
   watches_[NegateLit(lits[1])].push_back(idx);
@@ -136,7 +134,6 @@ void SatSolver::Enqueue(SatLit lit, ClauseIdx reason) {
 SatSolver::ClauseIdx SatSolver::Propagate() {
   while (propagate_head_ < trail_.size()) {
     SatLit p = trail_[propagate_head_++];
-    ++propagations_;
     // Clauses watching ¬p: that literal just became false.
     std::vector<ClauseIdx>& watch_list = watches_[p];
     size_t keep = 0;
@@ -198,8 +195,7 @@ void SatSolver::Analyze(ClauseIdx conflict, std::vector<SatLit>* learned,
 
   for (;;) {
     DDT_CHECK(reason != kNoReason);
-    Clause& c = clauses_[reason];
-    c.activity += activity_inc_;
+    const Clause& c = clauses_[reason];
     const SatLit* lits = &lits_[c.start];
     size_t start = have_p ? 1 : 0;  // skip the asserting literal itself
     for (size_t i = start; i < c.size; ++i) {
@@ -356,7 +352,7 @@ SatResult SatSolver::Solve(const std::vector<SatLit>& assumptions, uint64_t conf
           Enqueue(learned[0], kNoReason);
         }
       } else {
-        ClauseIdx idx = StoreClause(learned, true, activity_inc_);
+        ClauseIdx idx = StoreClause(learned);
         Enqueue(learned[0], idx);
       }
       DecayActivities();

@@ -74,7 +74,6 @@ class SatSolver {
 
   uint64_t conflicts() const { return conflicts_; }
   uint64_t decisions() const { return decisions_; }
-  uint64_t propagations() const { return propagations_; }
   size_t num_clauses() const { return clauses_.size(); }
 
  private:
@@ -85,8 +84,6 @@ class SatSolver {
   struct Clause {
     uint32_t start = 0;
     uint32_t size = 0;
-    bool learned = false;
-    double activity = 0.0;
   };
 
   using ClauseIdx = uint32_t;
@@ -111,7 +108,7 @@ class SatSolver {
   void DecayActivities();
   SatLit PickBranchLit();
   // Appends `lits` as a new clause, watches it, returns its index.
-  ClauseIdx StoreClause(std::span<const SatLit> lits, bool learned, double activity);
+  ClauseIdx StoreClause(std::span<const SatLit> lits);
 
   std::vector<Clause> clauses_;
   std::vector<SatLit> lits_;  // every clause's literals, back to back
@@ -134,7 +131,6 @@ class SatSolver {
   bool hit_abort_ = false;
   uint64_t conflicts_ = 0;
   uint64_t decisions_ = 0;
-  uint64_t propagations_ = 0;
 
   // Scratch, reused across calls: AddClause's normalization buffer, and
   // Solve's learned clause.

@@ -52,8 +52,6 @@ class BlockCache {
   const Instruction* Lookup(uint32_t pc);
 
   const Stats& stats() const { return stats_; }
-  uint32_t base() const { return base_; }
-  size_t num_slots() const { return slot_state_.size(); }
 
   // Optional profiler sink (non-owning, may be null): block decodes are
   // attributed to obs::Phase::kDecode. Cache hits stay probe-free — they are

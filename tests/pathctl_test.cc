@@ -6,7 +6,8 @@
 // rtl8029 campaign finds the identical bug set (including the map-io-space
 // and pageable multicast-DMA latents) as the controls-off campaign, with
 // byte-identical deterministic reports across thread counts, fleet workers,
-// and journal resume.
+// and journal resume; and the exact states and SAT calls the controls save
+// on a diamond-heavy driver while leaving a loop-bound one untouched.
 #include "src/engine/pathctl.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "src/fleet/fleet.h"
 #include "src/support/strings.h"
 #include "src/vm/assembler.h"
+#include "tests/farm_drivers.h"
 
 namespace ddt {
 namespace {
@@ -135,14 +137,6 @@ SpinDriver AssembleSpin() {
   return out;
 }
 
-PciDescriptor SpinPci() {
-  PciDescriptor pci;
-  pci.vendor_id = 1;
-  pci.device_id = 1;
-  pci.bars.push_back(PciBar{0x100});
-  return pci;
-}
-
 DdtConfig SpinConfig() {
   DdtConfig config;
   config.engine.max_instructions = 300'000;
@@ -157,7 +151,7 @@ TEST(PathCtlTest, BackEdgeKillerTerminatesCoverageStarvedLoop) {
 
   DdtConfig off = SpinConfig();
   Ddt baseline(off);
-  Result<DdtResult> base = baseline.TestDriver(spin.image, SpinPci());
+  Result<DdtResult> base = baseline.TestDriver(spin.image, FarmPci());
   ASSERT_TRUE(base.ok()) << base.status().message();
   EXPECT_EQ(base.value().stats.loop_kills, 0u);
   EXPECT_GE(base.value().stats.instructions, 290'000u);  // ate the whole budget
@@ -166,14 +160,14 @@ TEST(PathCtlTest, BackEdgeKillerTerminatesCoverageStarvedLoop) {
   on.engine.pathctl.enabled = true;
   on.engine.pathctl.backedge_kill_threshold = 1000;
   Ddt killed(on);
-  Result<DdtResult> kill = killed.TestDriver(spin.image, SpinPci());
+  Result<DdtResult> kill = killed.TestDriver(spin.image, FarmPci());
   ASSERT_TRUE(kill.ok()) << kill.status().message();
   EXPECT_EQ(kill.value().stats.loop_kills, 1u);
   EXPECT_LT(kill.value().stats.instructions, 50'000u);
 
   // Deterministic: the kill lands on the same instruction every run.
   Ddt again(on);
-  Result<DdtResult> repeat = again.TestDriver(spin.image, SpinPci());
+  Result<DdtResult> repeat = again.TestDriver(spin.image, FarmPci());
   ASSERT_TRUE(repeat.ok());
   EXPECT_EQ(repeat.value().stats.instructions, kill.value().stats.instructions);
   EXPECT_EQ(repeat.value().stats.loop_kills, 1u);
@@ -187,7 +181,7 @@ TEST(PathCtlTest, ExplicitEdgeRuleKillsAndCountsPerRule) {
   config.engine.pathctl.loop_kill = false;  // only the declarative rule may fire
   config.engine.pathctl.kill_edges.push_back(EdgeKillRule{spin.spin_pc, spin.spin_pc});
   Ddt ddt(config);
-  Result<DdtResult> r = ddt.TestDriver(spin.image, SpinPci());
+  Result<DdtResult> r = ddt.TestDriver(spin.image, FarmPci());
   ASSERT_TRUE(r.ok()) << r.status().message();
   EXPECT_EQ(r.value().stats.loop_kills, 0u);
   EXPECT_EQ(r.value().stats.edge_kills, 1u);
@@ -200,7 +194,7 @@ TEST(PathCtlTest, ExplicitEdgeRuleKillsAndCountsPerRule) {
   DdtConfig disabled = SpinConfig();
   disabled.engine.pathctl.kill_edges.push_back(EdgeKillRule{spin.spin_pc, spin.spin_pc});
   Ddt inert(disabled);
-  Result<DdtResult> quiet = inert.TestDriver(spin.image, SpinPci());
+  Result<DdtResult> quiet = inert.TestDriver(spin.image, FarmPci());
   ASSERT_TRUE(quiet.ok());
   EXPECT_EQ(quiet.value().stats.edge_kills, 0u);
   EXPECT_GE(quiet.value().stats.instructions, 290'000u);
@@ -266,14 +260,14 @@ TEST(PathCtlTest, DiamondMergingFoldsReconvergentStatesWithoutChangingBugs) {
   off.engine.max_wall_ms = 120'000;
   off.use_standard_annotations = false;
   Ddt unmerged(off);
-  Result<DdtResult> u = unmerged.TestDriver(image, SpinPci());
+  Result<DdtResult> u = unmerged.TestDriver(image, FarmPci());
   ASSERT_TRUE(u.ok()) << u.status().message();
   EXPECT_EQ(u.value().stats.states_merged, 0u);
 
   DdtConfig on = off;
   on.engine.pathctl.enabled = true;
   Ddt merged(on);
-  Result<DdtResult> m = merged.TestDriver(image, SpinPci());
+  Result<DdtResult> m = merged.TestDriver(image, FarmPci());
   ASSERT_TRUE(m.ok()) << m.status().message();
   EXPECT_GT(m.value().stats.states_merged, 0u);
   EXPECT_LT(m.value().stats.states_created, u.value().stats.states_created);
@@ -285,7 +279,7 @@ TEST(PathCtlTest, DiamondMergingFoldsReconvergentStatesWithoutChangingBugs) {
 
   // Merging is deterministic: same merge count and state totals every run.
   Ddt again(on);
-  Result<DdtResult> repeat = again.TestDriver(image, SpinPci());
+  Result<DdtResult> repeat = again.TestDriver(image, FarmPci());
   ASSERT_TRUE(repeat.ok());
   EXPECT_EQ(repeat.value().stats.states_merged, m.value().stats.states_merged);
   EXPECT_EQ(repeat.value().stats.states_created, m.value().stats.states_created);
@@ -415,6 +409,62 @@ TEST(PathCtlCampaignTest, JournalResumeRoundTripsForkSiteAttribution) {
   EXPECT_EQ(second.value().total_stats.states_merged,
             first.value().total_stats.states_merged);
   std::remove(journal.c_str());
+}
+
+// --- exact counters on the synthetic farms (tests/farm_drivers.h) -----------
+
+// A farm campaign with the controls off or on, everything else identical.
+FaultCampaignConfig FarmConfig(bool pathctl) {
+  FaultCampaignConfig config;
+  config.base.engine.max_instructions = 2'000'000;
+  config.base.engine.max_wall_ms = 3'600'000;  // never hit: cutoffs are instruction-determined
+  // Error paths come from the campaign's plans; the alloc-failure annotation
+  // would fork the same paths again in every pass, the baseline included.
+  config.base.use_standard_annotations = false;
+  config.base.engine.pathctl.enabled = pathctl;
+  config.max_passes = 16;
+  config.max_occurrences_per_class = 8;
+  config.escalation_rounds = 1;
+  config.threads = 1;
+  return config;
+}
+
+// solver_farm's six branch diamonds reconverge, so merging collapses their
+// leaves; every state that never exists never queries the solver.
+TEST(PathCtlCampaignTest, MergingHalvesSolverFarmStatesAndSatCalls) {
+  DriverImage image = SolverFarmImage();
+  Result<FaultCampaignResult> off = RunFaultCampaign(FarmConfig(false), image, FarmPci());
+  ASSERT_TRUE(off.ok()) << off.status().message();
+  Result<FaultCampaignResult> on = RunFaultCampaign(FarmConfig(true), image, FarmPci());
+  ASSERT_TRUE(on.ok()) << on.status().message();
+
+  EXPECT_EQ(off.value().total_stats.states_created, 83u);
+  EXPECT_EQ(on.value().total_stats.states_created, 43u);
+  EXPECT_EQ(off.value().total_solver_stats.sat_calls, 221u);
+  EXPECT_EQ(on.value().total_solver_stats.sat_calls, 111u);
+  EXPECT_EQ(off.value().total_stats.states_merged, 0u);
+  EXPECT_EQ(on.value().total_stats.states_merged, 30u);
+  EXPECT_EQ(off.value().bugs.size(), 5u);
+  EXPECT_EQ(BugRows(on.value()), BugRows(off.value()));
+}
+
+// fault_farm is the no-harm leg: the loop checker ends its spins before the
+// back-edge kill threshold is reachable, so the controls must pass through
+// without perturbing a campaign they cannot help.
+TEST(PathCtlCampaignTest, ControlsLeaveFaultFarmUntouched) {
+  DriverImage image = FaultFarmImage();
+  Result<FaultCampaignResult> off = RunFaultCampaign(FarmConfig(false), image, FarmPci());
+  ASSERT_TRUE(off.ok()) << off.status().message();
+  Result<FaultCampaignResult> on = RunFaultCampaign(FarmConfig(true), image, FarmPci());
+  ASSERT_TRUE(on.ok()) << on.status().message();
+
+  for (const Result<FaultCampaignResult>* r : {&off, &on}) {
+    EXPECT_EQ(r->value().total_stats.states_created, 15u);
+    EXPECT_EQ(r->value().total_stats.instructions, 1'400'083u);
+    EXPECT_EQ(r->value().total_stats.loop_kills, 0u);
+    EXPECT_EQ(r->value().bugs.size(), 2u);
+  }
+  EXPECT_EQ(BugRows(on.value()), BugRows(off.value()));
 }
 
 }  // namespace

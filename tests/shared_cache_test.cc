@@ -3,7 +3,8 @@
 // sharded collision-safe store, on-disk persistence, solver integration
 // (verdict hits, the counterexample fast path, model-path determinism), and
 // the campaign-level contract that the deterministic report is byte-identical
-// shared cache off vs cold vs warm-from-disk at any thread count.
+// shared cache off vs cold vs warm-from-disk at any thread count, and the
+// exact SAT calls a cold and a warm campaign make on a solver-bound driver.
 #include "src/solver/shared_cache.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "src/expr/eval.h"
 #include "src/solver/solver.h"
 #include "src/support/subprocess.h"
+#include "tests/farm_drivers.h"
 
 namespace ddt {
 namespace {
@@ -616,6 +618,46 @@ TEST(SharedCacheCampaignTest, MetricsAndVolatileReportExposeTheCache) {
   std::string deterministic = r.FormatReport(driver.name, /*include_volatile=*/false);
   EXPECT_EQ(deterministic.find("shared cache"), std::string::npos)
       << "cache-temperature-dependent line leaked into the deterministic report";
+}
+
+// solver_farm re-asks the same six canonical queries in every pass. A cold
+// campaign solves each once and persists it; a warm start answers them from
+// disk; neither changes a byte of the deterministic report.
+TEST(SharedCacheCampaignTest, SolverFarmWarmStartAnswersPersistedQueriesFromDisk) {
+  DriverImage image = SolverFarmImage();
+  auto run = [&image](const std::string& path) {
+    FaultCampaignConfig config;
+    config.base.engine.max_instructions = 2'000'000;
+    config.base.engine.max_wall_ms = 3'600'000;  // never hit: cutoffs are instruction-determined
+    config.base.use_standard_annotations = false;
+    config.max_passes = 8;
+    config.escalation_rounds = 0;
+    config.threads = 1;
+    config.shared_cache = !path.empty();
+    config.shared_cache_path = path;
+    Result<FaultCampaignResult> result = RunFaultCampaign(config, image, FarmPci());
+    EXPECT_TRUE(result.ok()) << result.status().message();
+    return result.ok() ? result.take() : FaultCampaignResult();
+  };
+
+  std::string cache_path = TempPath("solver_farm.bin");
+  std::remove(cache_path.c_str());
+  FaultCampaignResult off = run("");
+  FaultCampaignResult cold = run(cache_path);
+  FaultCampaignResult warm = run(cache_path);
+  std::remove(cache_path.c_str());
+
+  EXPECT_EQ(off.total_solver_stats.sat_calls, 155u);
+  EXPECT_EQ(cold.total_solver_stats.sat_calls, 39u);
+  EXPECT_EQ(cold.total_solver_stats.shared_cache_stores, 39u);
+  EXPECT_EQ(cold.shared_cache_saved_entries, 12u);
+  EXPECT_EQ(warm.shared_cache_loaded_entries, 12u);
+  EXPECT_EQ(warm.total_solver_stats.sat_calls, 30u);
+
+  EXPECT_EQ(off.bugs.size(), 5u);
+  std::string report = off.FormatReport("solver_farm", /*include_volatile=*/false);
+  EXPECT_EQ(cold.FormatReport("solver_farm", false), report);
+  EXPECT_EQ(warm.FormatReport("solver_farm", false), report);
 }
 
 }  // namespace
